@@ -302,8 +302,11 @@ def _collect_roots_sampled(D: int, p: int, m: int, h: int) -> list[FieldElement]
                 for nb in endoring._rational_neighbors(v, level):
                     if nb.encoding() in found:
                         continue
+                    nbm = ffield.minimal_field(nb)
+                    # count by BSGS here too; provider A then reads the cached trace
+                    ecurve.trace_of_j(nbm, naive_threshold=SWEEP_MAX_Q)
                     try:
-                        o = endoring.provider_a_disc(ffield.minimal_field(nb))
+                        o = endoring.provider_a_disc(nbm)
                     except (UnsupportedLevel, SupersingularInput):
                         continue
                     if o.D == D:
@@ -319,7 +322,8 @@ def _collect_roots_sampled(D: int, p: int, m: int, h: int) -> list[FieldElement]
         jm = ffield.minimal_field(j)
         if jm.ctx.k != m:
             continue
-        fd = ecurve.trace_of_j(jm)
+        # q > SWEEP_MAX_Q here: count by BSGS, never by an O(q) character sum
+        fd = ecurve.trace_of_j(jm, naive_threshold=SWEEP_MAX_Q)
         if abs(fd.t) not in traces:
             continue
         try:

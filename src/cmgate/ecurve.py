@@ -133,10 +133,10 @@ def _ec_mul(n: int, P, a: FieldElement):
 
 
 def _nonsquare(ctx: FieldCtx) -> FieldElement:
-    tables = ctx.tables()
-    if tables is not None:
+    log = ctx.log
+    if log is not None:
         for enc in range(2, ctx.q):
-            if tables.chi(enc) == -1:
+            if log[enc] & 1:
                 return ctx.from_encoding(enc)
         raise AssertionError("no nonsquare found")
     exp = (ctx.q - 1) // 2
@@ -150,9 +150,9 @@ def _nonsquare(ctx: FieldCtx) -> FieldElement:
 def _chi(ctx: FieldCtx, u: FieldElement) -> int:
     if u.is_zero():
         return 0
-    tables = ctx.tables()
-    if tables is not None:
-        return tables.chi(u.encoding())
+    log = ctx.log
+    if log is not None:
+        return -1 if log[u.encoding()] & 1 else 1
     return 1 if u ** ((ctx.q - 1) // 2) == ctx.one() else -1
 
 
@@ -160,11 +160,11 @@ def _sqrt(ctx: FieldCtx, u: FieldElement) -> FieldElement:
     """Square root of a known quadratic residue (Tonelli-Shanks)."""
     if u.is_zero():
         return u
-    tables = ctx.tables()
-    if tables is not None:
-        lg = tables.log[u.encoding()]
+    log = ctx.log
+    if log is not None:
+        lg = log[u.encoding()]
         assert lg % 2 == 0
-        return ctx.from_encoding(tables.exp[lg // 2])
+        return ctx.from_encoding(ctx.exp[lg // 2])
     q = ctx.q
     s, t = 0, q - 1
     while t % 2 == 0:
@@ -205,7 +205,7 @@ def _naive_count(E: EllipticCurve) -> int:
     ctx = E.ctx
     if ctx.k == 1:
         p = ctx.p
-        a, b = E.a.coeffs[0], E.b.coeffs[0]
+        a, b = E.a.encoding(), E.b.encoding()
         squares = bytearray(p)
         for z in range((p + 1) // 2):
             squares[z * z % p] = 1
@@ -215,16 +215,40 @@ def _naive_count(E: EllipticCurve) -> int:
             if rhs:
                 count += 1 if squares[rhs] else -1
         return count
-    tables = ctx.tables()
     count = ctx.q + 1
-    if tables is not None:
-        for enc in range(ctx.q):
-            x = ctx.from_encoding(enc)
-            count += tables.chi(E.rhs(x).encoding())
-    else:
-        for x in ffield.enumerate_elements(ctx):
-            count += _chi(ctx, E.rhs(x))
+    if ctx.log is not None:
+        return count + _log_character_sum(ctx, E.a.encoding(), E.b.encoding())
+    for x in ffield.enumerate_elements(ctx):
+        count += _chi(ctx, E.rhs(x))
     return count
+
+
+def _log_character_sum(ctx: FieldCtx, a: int, b: int) -> int:
+    """Sum of chi(x^3 + a x + b) over F_q (k >= 2), on discrete logs.
+
+    a and b are encodings.  chi(g^u) = (-1)^u, and g^u + g^v = g^(u + Z[v - u])
+    through the context's Zech table Z, which holds -1 where the sum is 0.
+    q - 1 is even, so a log's parity survives leaving it unreduced.
+    """
+    log, zech, qm1 = ctx.log, ctx.zech, ctx.qm1
+    la, lb = log[a], log[b]
+    chi_b = (-1 if lb & 1 else 1) if b else 0
+    total = chi_b  # x = 0
+    for lx in range(qm1):
+        u = 3 * lx % qm1  # log of x^3
+        if a:
+            z = zech[(la + lx - u) % qm1]
+            if z < 0:  # x^3 + a x = 0
+                total += chi_b
+                continue
+            u += z
+        if b:
+            z = zech[(lb - u) % qm1]
+            if z < 0:
+                continue
+            u += z
+        total += -1 if u & 1 else 1
+    return total
 
 
 def _point_order(P, a, lo: int, hi: int) -> int:
@@ -234,7 +258,7 @@ def _point_order(P, a, lo: int, hi: int) -> int:
     baby = {}
     Q = None
     for j in range(m):
-        key = Q if Q is None else (Q[0].coeffs, Q[1].coeffs)
+        key = Q if Q is None else (Q[0].encoding(), Q[1].encoding())
         baby.setdefault(key, j)
         Q = _ec_add(Q, P, a)
     mP = _ec_mul(m, P, a)
@@ -243,7 +267,7 @@ def _point_order(P, a, lo: int, hi: int) -> int:
     i = 0
     while lo + i * m <= hi:
         target = _ec_neg(R)
-        key = target if target is None else (target[0].coeffs, target[1].coeffs)
+        key = target if target is None else (target[0].encoding(), target[1].encoding())
         j = baby.get(key)
         if j is not None and lo + i * m + j <= hi:
             annihilator = lo + i * m + j

@@ -289,13 +289,15 @@ def provider_a_disc(j: FieldElement) -> CMOrder:
     key = (j.ctx.p, j.ctx.k, j.encoding())
     cached = _disc_cache.get(key)
     if cached is not None:
-        if isinstance(cached, Exception):
-            raise cached
+        if isinstance(cached, tuple):
+            # a fresh instance per hit: re-raising a cached one would grow its traceback
+            exc_type, args = cached
+            raise exc_type(*args)
         return cached
     try:
         order = _provider_a_uncached(j)
     except (SupersingularInput, UnsupportedLevel) as exc:
-        _disc_cache[key] = exc
+        _disc_cache[key] = (type(exc), exc.args)
         raise
     _disc_cache[key] = order
     return order

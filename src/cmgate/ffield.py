@@ -10,6 +10,22 @@ FieldCtx(p, k).  Two conventions make every run reproducible:
   distinguished multiplicative generators (one per degree, found by a
   deterministic search), so that embeddings compose along towers.
 
+An element's encoding is sum c_i p^i over its power-basis coefficients c_i.
+How an element is stored depends on the size q = p^k of its field:
+
+* q <= _TABLE_MAX (2^16): the element is its encoding.  The context holds
+  exp/log tables for the smallest primitive element g and, for k >= 2, the
+  Zech table Z[n] = log(1 + g^n), so that multiplication, division, powers
+  and Frobenius are one exp/log lookup and addition is one Zech lookup
+  (g^a + g^b = g^(a + Z[b - a])).  In a prime field the encoding is the
+  residue and + - * are plain modular integer operations.
+* q > _TABLE_MAX: the element is its coefficient tuple in the power basis,
+  with schoolbook multiplication reduced by the modulus and inversion by
+  extended Euclid.
+
+`.coeffs` is available in both representations; for encoded elements it is
+derived on each read.
+
 Characteristic 2 and 3 are rejected: the curve machinery downstream needs
 short Weierstrass models.
 """
@@ -131,6 +147,21 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+def _encode(coeffs, p: int) -> int:
+    n = 0
+    for c in reversed(coeffs):
+        n = n * p + c
+    return n
+
+
+def _decode(n: int, p: int, k: int) -> tuple[int, ...]:
+    v = []
+    for _ in range(k):
+        n, r = divmod(n, p)
+        v.append(r)
+    return tuple(v)
+
+
 # ---------------------------------------------------------------------------
 # contexts
 # ---------------------------------------------------------------------------
@@ -138,13 +169,18 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 class FieldCtx:
     """The canonical model of F_{p^k}.  Use make_field; do not construct directly.
 
-    Immutable after construction; internal caches are guarded by a lock.
+    This class serves fields with q > _TABLE_MAX, whose elements are
+    power-basis tuples; _TableCtx serves the smaller ones.  Immutable after
+    construction; internal caches are guarded by a lock.
     """
 
     __slots__ = (
-        "p", "k", "q", "modulus", "_red", "_lock", "_tables", "_qm1_factors",
-        "_dist_gen", "_frob_rows", "_embed_cache", "_descend_cache",
+        "p", "k", "q", "modulus", "_red", "_lock", "_qm1_factors",
+        "_dist_gen", "_frob_rows", "_embed_cache",
     )
+
+    # discrete-log tables; only _TableCtx has them
+    exp = log = None
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -165,17 +201,15 @@ class FieldCtx:
             rows.append(tuple(cur))
         self._red = tuple(rows)
         self._lock = threading.RLock()
-        self._tables = None
         self._qm1_factors = None
         self._dist_gen = None
         self._frob_rows = None
         self._embed_cache = {}
-        self._descend_cache = {}
 
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
+        return _PolyElement(self, (0,) * self.k)
 
     def one(self) -> "FieldElement":
         return self.from_int(1)
@@ -183,13 +217,13 @@ class FieldCtx:
     def from_int(self, c: int) -> "FieldElement":
         v = [0] * self.k
         v[0] = c % self.p
-        return FieldElement(self, tuple(v))
+        return _PolyElement(self, tuple(v))
 
     def from_coeffs(self, coeffs) -> "FieldElement":
         cs = [c % self.p for c in coeffs]
         if len(cs) != self.k:
             raise ValueError("coefficient vector has wrong length")
-        return FieldElement(self, tuple(cs))
+        return self._from_reduced(tuple(cs))
 
     def from_encoding(self, n: int) -> "FieldElement":
         p = self.p
@@ -197,15 +231,17 @@ class FieldCtx:
         for _ in range(self.k):
             n, r = divmod(n, p)
             v.append(r)
-        return FieldElement(self, tuple(v))
+        return _PolyElement(self, tuple(v))
 
     def gen(self) -> "FieldElement":
         """The power-basis generator (the class of T); k >= 2 only."""
         if self.k == 1:
             raise ValueError("prime field has no power-basis generator")
-        v = [0] * self.k
-        v[1] = 1
-        return FieldElement(self, tuple(v))
+        return self.from_encoding(self.p)
+
+    def _from_reduced(self, coeffs: tuple[int, ...]) -> "FieldElement":
+        """The element with these coefficients, each already in [0, p)."""
+        return _PolyElement(self, coeffs)
 
     # -- internals -------------------------------------------------------------
 
@@ -250,22 +286,21 @@ class FieldCtx:
         s0 += [0] * (k - len(s0))
         return tuple(s0[:k])
 
+    def _pow_coeffs(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
+        result = _decode(1, self.p, self.k)
+        while e:
+            if e & 1:
+                result = self._mul_coeffs(result, a)
+            a = self._mul_coeffs(a, a)
+            e >>= 1
+        return result
+
     def _factors_qm1(self) -> dict[int, int]:
         if self._qm1_factors is None:
             with self._lock:
                 if self._qm1_factors is None:
                     self._qm1_factors = factorize(self.q - 1)
         return self._qm1_factors
-
-    def tables(self):
-        """Discrete-log tables for small fields (q <= 2^16), else None."""
-        if self.q > _TABLE_MAX:
-            return None
-        if self._tables is None:
-            with self._lock:
-                if self._tables is None:
-                    self._tables = _build_tables(self)
-        return self._tables
 
     def frobenius_rows(self) -> tuple[tuple[int, ...], ...]:
         """Matrix of x -> x^p in the power basis (row i = (g^i)^p)."""
@@ -276,7 +311,7 @@ class FieldCtx:
                     for i in range(self.k):
                         v = [0] * self.k
                         v[i] = 1
-                        e = FieldElement(self, tuple(v)) ** self.p
+                        e = _PolyElement(self, tuple(v)) ** self.p
                         rows.append(e.coeffs)
                     self._frob_rows = tuple(rows)
         return self._frob_rows
@@ -324,14 +359,101 @@ def _ip_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     return _ip_trim(q), a
 
 
+class _TableCtx(FieldCtx):
+    """F_{p^k} with q <= _TABLE_MAX: elements are encodings.
+
+    exp[i] = g^i for 0 <= i < 2(q - 1), so a sum of two logs indexes it
+    without reduction; log[n] is the discrete log of encoding n (log[0] is
+    unused); for k >= 2, zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0.
+    half = (q - 1) / 2 is the log of -1.
+    """
+
+    __slots__ = ("exp", "log", "zech", "qm1", "half", "_elem", "_zero", "_one")
+
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        super().__init__(p, k, modulus)
+        q = self.q
+        qm1 = self.qm1 = q - 1
+        self.half = qm1 // 2
+        # the smallest primitive encoding, found with the power-basis kernels
+        one = _decode(1, p, k)
+        cofactors = [qm1 // r for r in self._factors_qm1()]
+        for n in range(2, q):
+            g = _decode(n, p, k)
+            if all(self._pow_coeffs(g, e) != one for e in cofactors):
+                break
+        else:
+            raise AssertionError(f"no primitive element in {self!r}")
+        exp = [0] * (2 * qm1)
+        log = [0] * q
+        acc = one
+        for i in range(qm1):
+            n = _encode(acc, p)
+            exp[i] = exp[i + qm1] = n
+            log[n] = i
+            acc = self._mul_coeffs(acc, g)
+        self.exp, self.log = exp, log
+        if k == 1:
+            self.zech = None
+            self._elem = _PrimeElement
+        else:
+            # 1 + g^i changes only the constant coefficient of g^i
+            zech = []
+            for n in exp[:qm1]:
+                m = n + 1 if n % p != p - 1 else n + 1 - p
+                zech.append(log[m] if m else -1)
+            self.zech = zech
+            self._elem = _ZechElement
+        self._zero = self._elem(self, 0)
+        self._one = self._elem(self, 1)
+
+    def zero(self) -> "FieldElement":
+        return self._zero
+
+    def one(self) -> "FieldElement":
+        return self._one
+
+    def from_int(self, c: int) -> "FieldElement":
+        return self._elem(self, c % self.p)
+
+    def from_encoding(self, n: int) -> "FieldElement":
+        return self._elem(self, n % self.q)
+
+    def _from_reduced(self, coeffs: tuple[int, ...]) -> "FieldElement":
+        return self._elem(self, _encode(coeffs, self.p))
+
+
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
 
 class FieldElement:
-    """An element of F_{p^k} in the power basis of the context modulus."""
+    """An element of F_{p^k}; its context fixes the representation.
 
-    __slots__ = ("ctx", "coeffs")
+    _PolyElement holds power-basis coefficients (q > _TABLE_MAX);
+    _PrimeElement and _ZechElement hold the encoding n (q <= _TABLE_MAX).
+    Elements are immutable and compare equal only within one context.
+    """
+
+    __slots__ = ("ctx",)
+
+    def lift(self) -> int:
+        """Integer representative; defined for prime-field elements only."""
+        cs = self.coeffs
+        if any(cs[1:]):
+            raise ValueError("element does not lie in the prime field")
+        return cs[0]
+
+    def __repr__(self):
+        if self.ctx.k == 1:
+            return f"F{self.ctx.p}({self.coeffs[0]})"
+        return f"F{self.ctx.p}^{self.ctx.k}{list(self.coeffs)}"
+
+
+class _PolyElement(FieldElement):
+    """An element of a field with q > _TABLE_MAX, as a power-basis tuple."""
+
+    __slots__ = ("coeffs",)
 
     def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
         self.ctx = ctx
@@ -346,17 +468,11 @@ class FieldElement:
             n = n * self.ctx.p + c
         return n
 
-    def lift(self) -> int:
-        """Integer representative; defined for prime-field elements only."""
-        if any(self.coeffs[1:]):
-            raise ValueError("element does not lie in the prime field")
-        return self.coeffs[0]
-
     def __add__(self, other: "FieldElement") -> "FieldElement":
         if self.ctx is not other.ctx:
             raise ContextMismatch("elements live in different contexts")
         p = self.ctx.p
-        return FieldElement(
+        return _PolyElement(
             self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
@@ -364,25 +480,25 @@ class FieldElement:
         if self.ctx is not other.ctx:
             raise ContextMismatch("elements live in different contexts")
         p = self.ctx.p
-        return FieldElement(
+        return _PolyElement(
             self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         if self.ctx is not other.ctx:
             raise ContextMismatch("elements live in different contexts")
-        return FieldElement(self.ctx, self.ctx._mul_coeffs(self.coeffs, other.coeffs))
+        return _PolyElement(self.ctx, self.ctx._mul_coeffs(self.coeffs, other.coeffs))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         if self.ctx is not other.ctx:
             raise ContextMismatch("elements live in different contexts")
-        return FieldElement(
+        return _PolyElement(
             self.ctx, self.ctx._mul_coeffs(self.coeffs, self.ctx._inv_coeffs(other.coeffs))
         )
 
     def __neg__(self) -> "FieldElement":
         p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        return _PolyElement(self.ctx, tuple((-a) % p for a in self.coeffs))
 
     def __pow__(self, e: int) -> "FieldElement":
         ctx = self.ctx
@@ -398,12 +514,12 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx._inv_coeffs(self.coeffs))
+        return _PolyElement(self.ctx, self.ctx._inv_coeffs(self.coeffs))
 
     def scale(self, c: int) -> "FieldElement":
         p = self.ctx.p
         c %= p
-        return FieldElement(self.ctx, tuple(a * c % p for a in self.coeffs))
+        return _PolyElement(self.ctx, tuple(a * c % p for a in self.coeffs))
 
     def __eq__(self, other) -> bool:
         return (
@@ -415,10 +531,161 @@ class FieldElement:
     def __hash__(self):
         return hash((self.ctx.p, self.ctx.k, self.coeffs))
 
-    def __repr__(self):
-        if self.ctx.k == 1:
-            return f"F{self.ctx.p}({self.coeffs[0]})"
-        return f"F{self.ctx.p}^{self.ctx.k}{list(self.coeffs)}"
+
+class _EncodedElement(FieldElement):
+    """An element of a field with q <= _TABLE_MAX, stored as its encoding n."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, ctx: _TableCtx, n: int):
+        self.ctx = ctx
+        self.n = n
+
+    def is_zero(self) -> bool:
+        return not self.n
+
+    def encoding(self) -> int:
+        return self.n
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return _decode(self.n, self.ctx.p, self.ctx.k)
+
+    def inverse(self) -> "FieldElement":
+        n = self.n
+        if not n:
+            raise DivisionByZero("inverse of zero")
+        ctx = self.ctx
+        return ctx._elem(ctx, ctx.exp[ctx.qm1 - ctx.log[n]])
+
+    def __truediv__(self, other: "FieldElement") -> "FieldElement":
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise ContextMismatch("elements live in different contexts")
+        b = other.n
+        if not b:
+            raise DivisionByZero("inverse of zero")
+        a = self.n
+        if not a:
+            return self
+        log = ctx.log
+        return ctx._elem(ctx, ctx.exp[log[a] - log[b] + ctx.qm1])
+
+    def __pow__(self, e: int) -> "FieldElement":
+        ctx = self.ctx
+        n = self.n
+        if not n:
+            if e < 0:
+                raise DivisionByZero("inverse of zero")
+            return self if e else ctx.one()
+        return ctx._elem(ctx, ctx.exp[ctx.log[n] * e % ctx.qm1])
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FieldElement)
+            and self.ctx is other.ctx
+            and self.n == other.n
+        )
+
+    def __hash__(self):
+        return hash(self.n)
+
+
+class _PrimeElement(_EncodedElement):
+    """An element of F_p, p <= _TABLE_MAX: n is the residue."""
+
+    __slots__ = ()
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return (self.n,)
+
+    def __add__(self, other: "FieldElement") -> "FieldElement":
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise ContextMismatch("elements live in different contexts")
+        return _PrimeElement(ctx, (self.n + other.n) % ctx.p)
+
+    def __sub__(self, other: "FieldElement") -> "FieldElement":
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise ContextMismatch("elements live in different contexts")
+        return _PrimeElement(ctx, (self.n - other.n) % ctx.p)
+
+    def __mul__(self, other: "FieldElement") -> "FieldElement":
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise ContextMismatch("elements live in different contexts")
+        return _PrimeElement(ctx, self.n * other.n % ctx.p)
+
+    def __neg__(self) -> "FieldElement":
+        return _PrimeElement(self.ctx, -self.n % self.ctx.p)
+
+    def scale(self, c: int) -> "FieldElement":
+        return _PrimeElement(self.ctx, self.n * c % self.ctx.p)
+
+
+class _ZechElement(_EncodedElement):
+    """An element of F_{p^k}, k >= 2, q <= _TABLE_MAX: arithmetic on logs."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "FieldElement") -> "FieldElement":
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise ContextMismatch("elements live in different contexts")
+        a, b = self.n, other.n
+        if not a:
+            return other
+        if not b:
+            return self
+        log = ctx.log
+        la = log[a]
+        z = ctx.zech[(log[b] - la) % ctx.qm1]
+        return _ZechElement(ctx, ctx.exp[la + z] if z >= 0 else 0)
+
+    def __sub__(self, other: "FieldElement") -> "FieldElement":
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise ContextMismatch("elements live in different contexts")
+        a, b = self.n, other.n
+        if not b:
+            return self
+        log = ctx.log
+        lb = log[b] + ctx.half  # log of -b, below 2(q - 1)
+        if not a:
+            return _ZechElement(ctx, ctx.exp[lb])
+        la = log[a]
+        z = ctx.zech[(lb - la) % ctx.qm1]
+        return _ZechElement(ctx, ctx.exp[la + z] if z >= 0 else 0)
+
+    def __mul__(self, other: "FieldElement") -> "FieldElement":
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise ContextMismatch("elements live in different contexts")
+        a, b = self.n, other.n
+        if not a:
+            return self
+        if not b:
+            return other
+        log = ctx.log
+        return _ZechElement(ctx, ctx.exp[log[a] + log[b]])
+
+    def __neg__(self) -> "FieldElement":
+        n = self.n
+        if not n:
+            return self
+        ctx = self.ctx
+        return _ZechElement(ctx, ctx.exp[ctx.log[n] + ctx.half])
+
+    def scale(self, c: int) -> "FieldElement":
+        ctx = self.ctx
+        n = self.n
+        c %= ctx.p
+        if not n or not c:
+            return ctx._zero
+        log = ctx.log
+        return _ZechElement(ctx, ctx.exp[log[n] + log[c]])
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +693,10 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 def make_field(p: int, k: int) -> FieldCtx:
-    """The canonical context for F_{p^k}; idempotent for fixed (p, k)."""
+    """The canonical context for F_{p^k}; idempotent for fixed (p, k).
+
+    A context is published only once fully built, tables included.
+    """
     key = (p, k)
     ctx = _ctx_cache.get(key)
     if ctx is not None:
@@ -454,12 +724,9 @@ def make_field(p: int, k: int) -> FieldCtx:
                 modulus = tuple(cand)
                 break
         assert modulus is not None
+    ctx = (_TableCtx if p**k <= _TABLE_MAX else FieldCtx)(p, k, modulus)
     with _cache_lock:
-        ctx = _ctx_cache.get(key)
-        if ctx is None:
-            ctx = FieldCtx(p, k, modulus)
-            _ctx_cache[key] = ctx
-    return ctx
+        return _ctx_cache.setdefault(key, ctx)
 
 
 def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
@@ -480,10 +747,14 @@ def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
 
 
 def frobenius(x: FieldElement) -> FieldElement:
-    """x -> x^p, computed through the cached Frobenius matrix."""
+    """x -> x^p: log times p with tables, else the cached Frobenius matrix."""
     ctx = x.ctx
     if ctx.k == 1:
         return x
+    log = ctx.log
+    if log is not None:
+        n = x.n
+        return _ZechElement(ctx, ctx.exp[log[n] * ctx.p % ctx.qm1]) if n else x
     rows = ctx.frobenius_rows()
     p, k = ctx.p, ctx.k
     out = [0] * k
@@ -492,7 +763,7 @@ def frobenius(x: FieldElement) -> FieldElement:
             row = rows[i]
             for idx in range(k):
                 out[idx] = (out[idx] + ci * row[idx]) % p
-    return FieldElement(ctx, tuple(out))
+    return _PolyElement(ctx, tuple(out))
 
 
 def multiplicative_order(x: FieldElement) -> int:
@@ -500,12 +771,10 @@ def multiplicative_order(x: FieldElement) -> int:
     if x.is_zero():
         raise ZeroElement("zero has no multiplicative order")
     ctx = x.ctx
-    tables = ctx.tables()
-    if tables is not None:
-        lg = tables.log[x.encoding()]
-        qm1 = ctx.q - 1
-        return qm1 // gcd(qm1, lg) if lg else 1
-    order = ctx.q - 1
+    qm1 = ctx.q - 1
+    if ctx.log is not None:
+        return qm1 // gcd(qm1, ctx.log[x.n])
+    order = qm1
     for prime, mult in ctx._factors_qm1().items():
         for _ in range(mult):
             cand = order // prime
@@ -692,7 +961,7 @@ def embed(x: FieldElement, target: FieldCtx) -> FieldElement:
         if ci:
             for idx in range(kt):
                 out[idx] = (out[idx] + ci * row[idx]) % p
-    return FieldElement(target, tuple(out))
+    return target._from_reduced(tuple(out))
 
 
 def element_degree(x: FieldElement) -> int:
@@ -719,7 +988,7 @@ def descend(x: FieldElement, target: FieldCtx) -> FieldElement:
     coords = _solve_mod_p(matrix, list(x.coeffs), src.p)
     if coords is None:
         raise NotASubfield("element does not lie in the requested subfield")
-    return FieldElement(target, tuple(coords))
+    return target._from_reduced(tuple(coords))
 
 
 def minimal_field(x: FieldElement) -> FieldElement:
@@ -735,50 +1004,3 @@ def _divisors(n: int) -> list[int]:
     for prime, mult in factorize(n).items():
         out = [d * prime**e for d in out for e in range(mult + 1)]
     return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# discrete-log tables for small fields
-# ---------------------------------------------------------------------------
-
-class _Tables:
-    __slots__ = ("gen_encoding", "exp", "log", "qm1")
-
-    def __init__(self, gen_encoding, exp, log, qm1):
-        self.gen_encoding = gen_encoding
-        self.exp = exp
-        self.log = log
-        self.qm1 = qm1
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
-
-    def chi(self, a: int) -> int:
-        """Quadratic character on encodings: 0, 1, or -1."""
-        if a == 0:
-            return 0
-        return -1 if self.log[a] & 1 else 1
-
-
-def _build_tables(ctx: FieldCtx) -> _Tables:
-    q = ctx.q
-    factors = ctx._factors_qm1()
-    gen = None
-    for n in range(2, q):
-        x = ctx.from_encoding(n)
-        if not x.is_zero() and _order_is(x, q - 1, factors):
-            gen = x
-            break
-    assert gen is not None
-    exp = [0] * (2 * (q - 1))
-    log = [0] * q
-    acc = ctx.one()
-    for i in range(q - 1):
-        e = acc.encoding()
-        exp[i] = e
-        exp[i + q - 1] = e
-        log[e] = i
-        acc = acc * gen
-    return _Tables(gen.encoding(), exp, log, q - 1)

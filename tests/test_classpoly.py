@@ -1,6 +1,7 @@
 import pytest
 
 from cmgate import classpoly as cp
+from cmgate import ecurve as ec
 from cmgate import endoring as er
 from cmgate import ffield as ff
 from cmgate.errors import (
@@ -155,6 +156,20 @@ class TestHilbertModP:
         assert cp.class_order_of_p(-31, 19) == 3
         assert cp.SWEEP_MAX_Q < 19**3 <= cp.SAMPLING_MAX_Q
         H = cp.hilbert_mod_p(-31, 19)
+        ref = cp.reference_table()[-31]
+        assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 19 for c in ref]
+
+    def test_sampled_path_counts_by_bsgs(self, monkeypatch):
+        # q = 19^3 = 6859 lies between SWEEP_MAX_Q and the naive-count
+        # threshold; the sampled collector must not pay O(q) counts there
+        for module, name in ((cp, "_hilbert_cache"), (ec, "_trace_cache"),
+                             (er, "_disc_cache"), (er, "_neighbor_cache")):
+            monkeypatch.setattr(module, name, {})
+        calls = []
+        naive = ec._naive_count
+        monkeypatch.setattr(ec, "_naive_count", lambda E: calls.append(E.ctx.q) or naive(E))
+        H = cp.hilbert_mod_p(-31, 19)
+        assert calls == []
         ref = cp.reference_table()[-31]
         assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 19 for c in ref]
 

@@ -93,6 +93,22 @@ class TestBsgsOracle:
         assert n == ec._naive_count(E)
 
 
+    @pytest.mark.parametrize("p,k", [(5, 2), (7, 2), (5, 3), (7, 3), (5, 4), (13, 2)])
+    def test_log_domain_count_matches_element_sum(self, p, k):
+        # the discrete-log character sum against the element-by-element scan
+        ctx = ff.make_field(p, k)
+        rng = crc_rng("naive-log-domain", p, k)
+        pairs = [(0, 1), (1, 0), (p - 1, 1)]
+        pairs += [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(10)]
+        for a, b in pairs:
+            try:
+                E = ec.EllipticCurve(ctx.from_encoding(a), ctx.from_encoding(b))
+            except ValueError:
+                continue
+            scan = ctx.q + 1 + sum(ec._chi(ctx, E.rhs(x)) for x in ff.enumerate_elements(ctx))
+            assert ec._naive_count(E) == scan
+
+
 class TestFrobeniusData:
     def test_j1728_data(self):
         E = ec.EllipticCurve(F5.one(), F5.zero())

@@ -155,6 +155,30 @@ class TestEndoDiscriminant:
             er.endo_discriminant(F5.zero())
 
 
+class TestProviderACache:
+    @staticmethod
+    def _raise_depth(j):
+        with pytest.raises(UnsupportedLevel) as info:
+            er.provider_a_disc(j)
+        depth, tb = 0, info.value.__traceback__
+        while tb is not None:
+            depth += 1
+            tb = tb.tb_next
+        return type(info.value), str(info.value), depth
+
+    def test_cached_exception_does_not_grow(self):
+        # the Frobenius conductor of j = 231 over F_100003 has a prime
+        # factor beyond the vendored levels
+        j = ff.make_field(100003, 1).from_int(231)
+        first = self._raise_depth(j)
+        second = self._raise_depth(j)
+        for _ in range(997):
+            self._raise_depth(j)
+        thousandth = self._raise_depth(j)
+        assert first[:2] == second[:2] == thousandth[:2]
+        assert thousandth[2] == second[2]
+
+
 class TestFrobeniusCmCheck:
     @pytest.mark.parametrize("p", [5, 7])
     def test_exhaustive_quadratic_field(self, p):

@@ -1,6 +1,7 @@
 import pytest
 
 from cmgate import ffield as ff
+from cmgate._numutil import crc_rng, factorize
 from cmgate.errors import (
     CharTooSmall,
     CompositeP,
@@ -210,3 +211,138 @@ class TestEnumerate:
             if not e.is_zero() and ff.multiplicative_order(e) == 24
         )
         assert cnt == 8  # phi(24)
+
+
+# Fields of the suite and both sides of the table cut: F_{251^2} and F_{5^6}
+# compute on encodings, F_{257^2} and F_{5^7} on power-basis tuples.
+DIFFERENTIAL_FIELDS = [
+    (5, 1), (7, 1), (11, 1), (13, 1), (65521, 1), (65537, 1),
+    (5, 2), (7, 2), (11, 2), (13, 2), (5, 3), (7, 3), (5, 4), (7, 4),
+    (5, 6), (251, 2), (5, 7), (257, 2),
+]
+
+
+def _samples(ctx, count=24):
+    rng = crc_rng("ffield-differential", ctx.p, ctx.k)
+    encs = [0, 1, ctx.p - 1] + [rng.randrange(ctx.q) for _ in range(count)]
+    return [ctx.from_encoding(n) for n in encs]
+
+
+def _digits(n, p, k):
+    return tuple(n // p**i % p for i in range(k))
+
+
+def _ref_pow(ctx, a, e):
+    """Square-and-multiply on coefficient tuples; e < 0 inverts."""
+    result = _digits(1, ctx.p, ctx.k)
+    base = a
+    for bit in bin(abs(e))[2:][::-1]:
+        if bit == "1":
+            result = ctx._mul_coeffs(result, base)
+        base = ctx._mul_coeffs(base, base)
+    return ctx._inv_coeffs(result) if e < 0 else result
+
+
+class TestBackendAgainstTupleKernels:
+    """Every operation, whatever the representation, against the power-basis
+    kernels (_mul_coeffs, _inv_coeffs, coefficient-wise add) on .coeffs."""
+
+    @pytest.mark.parametrize("p,k", DIFFERENTIAL_FIELDS)
+    def test_representation_follows_the_cut(self, p, k):
+        ctx = ff.make_field(p, k)
+        assert (ctx.log is not None) == (ctx.q <= ff._TABLE_MAX)
+
+    @pytest.mark.parametrize("p,k", DIFFERENTIAL_FIELDS)
+    def test_constructors_and_views(self, p, k):
+        ctx = ff.make_field(p, k)
+        assert ctx.zero().coeffs == (0,) * k and ctx.zero().is_zero()
+        assert ctx.one().coeffs == _digits(1, p, k)
+        assert ctx.from_int(-1).coeffs == _digits(p - 1, p, k)
+        assert ctx.from_int(p + 3) == ctx.from_int(3)
+        if k > 1:
+            assert ctx.gen().coeffs == _digits(p, p, k)
+        for a in _samples(ctx):
+            n = a.encoding()
+            assert 0 <= n < ctx.q and a.coeffs == _digits(n, p, k)
+            assert ctx.from_coeffs(a.coeffs) == a
+            assert ctx.from_encoding(n + ctx.q) == a
+            assert a.is_zero() == (n == 0)
+            copy = ctx.from_encoding(n)
+            assert copy == a and hash(copy) == hash(a)
+            if k == 1:
+                assert a.lift() == n
+
+    @pytest.mark.parametrize("p,k", DIFFERENTIAL_FIELDS)
+    def test_unary_operations(self, p, k):
+        ctx = ff.make_field(p, k)
+        for a in _samples(ctx):
+            ca = a.coeffs
+            assert (-a).coeffs == tuple(-c % p for c in ca)
+            assert ff.frobenius(a).coeffs == _ref_pow(ctx, ca, p)
+            for c in (0, 1, 2, p - 1, p + 3, -2):
+                assert a.scale(c).coeffs == tuple(x * c % p for x in ca)
+            for e in (0, 1, 2, 3, p, ctx.q - 2, ctx.q + 5, 12345):
+                assert (a ** e).coeffs == _ref_pow(ctx, ca, e)
+            if a.is_zero():
+                with pytest.raises(DivisionByZero):
+                    a.inverse()
+                with pytest.raises(DivisionByZero):
+                    a ** -1
+            else:
+                assert a.inverse().coeffs == ctx._inv_coeffs(ca)
+                for e in (-1, -2, -7, -(ctx.q + 1)):
+                    assert (a ** e).coeffs == _ref_pow(ctx, ca, e)
+                if ctx.log is not None:
+                    assert ff.multiplicative_order(a) == _ref_order(ctx, ca)
+
+    @pytest.mark.parametrize("p,k", DIFFERENTIAL_FIELDS)
+    def test_binary_operations(self, p, k):
+        ctx = ff.make_field(p, k)
+        xs = _samples(ctx)
+        for a in xs:
+            ca = a.coeffs
+            for b in xs:
+                cb = b.coeffs
+                assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(ca, cb))
+                assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(ca, cb))
+                assert (a * b).coeffs == ctx._mul_coeffs(ca, cb)
+                if b.is_zero():
+                    with pytest.raises(DivisionByZero):
+                        a / b
+                else:
+                    assert (a / b).coeffs == ctx._mul_coeffs(ca, ctx._inv_coeffs(cb))
+                assert (a == b) == (ca == cb)
+
+    @pytest.mark.parametrize("small,big", [((5, 1), (5, 2)), ((5, 2), (5, 4)),
+                                           ((5, 2), (5, 6)), ((5, 3), (5, 6)),
+                                           ((7, 2), (7, 4)), ((251, 1), (251, 2)),
+                                           ((5, 4), (5, 8)), ((5, 1), (5, 7))])
+    def test_embed_and_descend(self, small, big):
+        src, tgt = ff.make_field(*small), ff.make_field(*big)
+        rows = ff._embed_rows(src, tgt)
+        xs = _samples(src, 12)
+        for a in xs:
+            image = ff.embed(a, tgt)
+            want = [0] * tgt.k
+            for c, row in zip(a.coeffs, rows):
+                want = [(w + c * r) % tgt.p for w, r in zip(want, row)]
+            assert image.coeffs == tuple(want)
+            assert ff.descend(image, src) == a
+            for b in xs:
+                assert ff.embed(a * b, tgt) == image * ff.embed(b, tgt)
+                assert ff.embed(a + b, tgt) == image + ff.embed(b, tgt)
+
+    def test_tower_across_the_cut(self):
+        # F_{5^2} -> F_{5^4} (encodings) -> F_{5^8} (tuples) equals the direct map
+        F25, F54, F58 = ff.make_field(5, 2), ff.make_field(5, 4), ff.make_field(5, 8)
+        for a in _samples(F25):
+            assert ff.embed(ff.embed(a, F54), F58) == ff.embed(a, F58)
+
+
+def _ref_order(ctx, a):
+    one = _digits(1, ctx.p, ctx.k)
+    order = ctx.q - 1
+    for prime in factorize(order):
+        while order % prime == 0 and _ref_pow(ctx, a, order // prime) == one:
+            order //= prime
+    return order

@@ -4,6 +4,7 @@ deeper towers, the modular-data extension point, and thread safety of the
 shared caches."""
 
 import os
+import sys
 import threading
 
 import pytest
@@ -164,7 +165,7 @@ class TestThreadSafety:
                 assert len(dm) == 169
                 H = cp.hilbert_mod_p(-8, 17)
                 assert H.poly.degree() == 1
-                ff.make_field(13, 2).tables()
+                assert ff.make_field(13, 2).log is not None
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -174,3 +175,30 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert not errors
+
+    def test_make_field_publishes_one_complete_context(self, monkeypatch):
+        # racing first calls must all get the same context, tables built
+        monkeypatch.setattr(ff, "_ctx_cache", {})
+        seen, errors = [], []
+
+        def worker():
+            try:
+                ctx = ff.make_field(13, 2)
+                seen.append((ctx, len(ctx.log), len(ctx.zech)))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(seen) == 8
+        assert len({id(ctx) for ctx, _, _ in seen}) == 1
+        assert all(n_log == 169 and n_zech == 168 for _, n_log, n_zech in seen)
