@@ -283,6 +283,9 @@ def _collect_roots_sampled(D: int, p: int, m: int, h: int) -> list[FieldElement]
     q = ctx.q
     traces = _representation_traces(D, q, p)
     rng = crc_rng("hilbert-sample", D, p, m)
+    # the filter draws its points from a stream of its own, so the
+    # candidate stream is the same with or without it
+    filter_rng = crc_rng("hilbert-filter", D, p, m)
     found: dict[int, FieldElement] = {}
 
     def absorb(j: FieldElement):
@@ -302,11 +305,8 @@ def _collect_roots_sampled(D: int, p: int, m: int, h: int) -> list[FieldElement]
                 for nb in endoring._rational_neighbors(v, level):
                     if nb.encoding() in found:
                         continue
-                    nbm = ffield.minimal_field(nb)
-                    # count by BSGS here too; provider A then reads the cached trace
-                    ecurve.trace_of_j(nbm, naive_threshold=SWEEP_MAX_Q)
                     try:
-                        o = endoring.provider_a_disc(nbm)
+                        o = endoring.provider_a_disc(ffield.minimal_field(nb))
                     except (UnsupportedLevel, SupersingularInput):
                         continue
                     if o.D == D:
@@ -322,8 +322,11 @@ def _collect_roots_sampled(D: int, p: int, m: int, h: int) -> list[FieldElement]
         jm = ffield.minimal_field(j)
         if jm.ctx.k != m:
             continue
-        # q > SWEEP_MAX_Q here: count by BSGS, never by an O(q) character sum
-        fd = ecurve.trace_of_j(jm, naive_threshold=SWEEP_MAX_Q)
+        # one point rules out most j whose trace misses traces, without a
+        # count; it never rejects a j that the trace test below accepts
+        if not ecurve.trace_filter(ecurve.curve_from_j(jm), traces, filter_rng):
+            continue
+        fd = ecurve.trace_of_j(jm)
         if abs(fd.t) not in traces:
             continue
         try:

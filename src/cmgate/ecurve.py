@@ -1,11 +1,13 @@
 """Elliptic curves over F_{p^k} (p >= 5): models from j-invariants, exact
 point counts, Frobenius trace data, supersingularity.
 
-Counting is a quadratic-character scan for small fields and baby-step
-giant-step over the Hasse interval beyond the naive threshold, with the
-usual twist disambiguation: orders of deterministically sampled points on
-the curve and its quadratic twist are intersected until a single group
-order survives in the interval.
+Counting is a quadratic-character scan up to NAIVE_THRESHOLD, the one cut
+point between the two counts, and baby-step giant-step over the Hasse
+interval beyond it, with the usual twist disambiguation: orders of
+deterministically sampled points on the curve and its quadratic twist are
+intersected until a single group order survives in the interval.
+trace_filter is the cheap one-point test that rules traces out without a
+count.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from .errors import SizeExceeded
 from .ffield import FieldCtx, FieldElement, embed
 from ._numutil import crc_rng, factorize
 
-NAIVE_THRESHOLD = 10000
+#: the character scan counts fields up to this size, BSGS the larger ones;
+#: the two cost the same near q = 1800 in prime and extension fields alike
+NAIVE_THRESHOLD = 1800
 
 
 class EllipticCurve:
@@ -191,12 +195,12 @@ def _sqrt(ctx: FieldCtx, u: FieldElement) -> FieldElement:
 # counting
 # ---------------------------------------------------------------------------
 
-def count_points(E: EllipticCurve, naive_threshold: int = NAIVE_THRESHOLD) -> int:
+def count_points(E: EllipticCurve) -> int:
     """#E(F_q) including the point at infinity."""
     ctx = E.ctx
     if ctx.q > ffield.size_bound():
         raise SizeExceeded("field beyond the configured size bound")
-    if ctx.q <= naive_threshold:
+    if ctx.q <= NAIVE_THRESHOLD:
         return _naive_count(E)
     return _bsgs_count(E)
 
@@ -255,20 +259,24 @@ def _point_order(P, a, lo: int, hi: int) -> int:
     """Exact order of P, via one annihilator in [lo, hi] plus reduction."""
     width = hi - lo
     m = isqrt(width) + 1
+    # key points by the coordinates' stored values, not by encoding()
+    if a.ctx.log is not None:
+        def key(R):
+            return R if R is None else (R[0].n, R[1].n)
+    else:
+        def key(R):
+            return R if R is None else (R[0].coeffs, R[1].coeffs)
     baby = {}
     Q = None
     for j in range(m):
-        key = Q if Q is None else (Q[0].encoding(), Q[1].encoding())
-        baby.setdefault(key, j)
+        baby.setdefault(key(Q), j)
         Q = _ec_add(Q, P, a)
     mP = _ec_mul(m, P, a)
     annihilator = None
     R = _ec_mul(lo, P, a)
     i = 0
     while lo + i * m <= hi:
-        target = _ec_neg(R)
-        key = target if target is None else (target[0].encoding(), target[1].encoding())
-        j = baby.get(key)
+        j = baby.get(key(_ec_neg(R)))
         if j is not None and lo + i * m + j <= hi:
             annihilator = lo + i * m + j
             break
@@ -325,8 +333,8 @@ def _bsgs_count(E: EllipticCurve) -> int:
     raise AssertionError(f"group order not unique after sampling (q={q})")
 
 
-def frobenius_data(E: EllipticCurve, naive_threshold: int = NAIVE_THRESHOLD) -> FrobeniusData:
-    n = count_points(E, naive_threshold)
+def frobenius_data(E: EllipticCurve) -> FrobeniusData:
+    n = count_points(E)
     return FrobeniusData(E.ctx.q, E.ctx.q + 1 - n)
 
 
@@ -338,16 +346,38 @@ def is_supersingular(E: EllipticCurve) -> bool:
 _trace_cache: dict[tuple[int, int, int], int] = {}
 
 
-def trace_of_j(j: FieldElement, naive_threshold: int = NAIVE_THRESHOLD) -> FrobeniusData:
+def trace_of_j(j: FieldElement) -> FrobeniusData:
     """Frobenius data of the fixed model over the minimal field of j (cached)."""
     jm = ffield.minimal_field(j)
     key = (jm.ctx.p, jm.ctx.k, jm.encoding())
     t = _trace_cache.get(key)
     if t is None:
-        t = frobenius_data(curve_from_j(jm), naive_threshold).t
+        t = frobenius_data(curve_from_j(jm)).t
         _trace_cache[key] = t
     return FrobeniusData(jm.ctx.q, t)
 
 
 def is_supersingular_j(j: FieldElement) -> bool:
     return trace_of_j(j).t % j.ctx.p == 0
+
+
+def trace_filter(E: EllipticCurve, traces, rng) -> bool:
+    """False only if #E(F_q) = q + 1 - t holds for no t with |t| in traces.
+
+    For a point P drawn with rng, #E = q + 1 -+ t forces [q + 1]P = +-[t]P:
+    both are infinity or they share their x-coordinate.  One point and a few
+    scalar multiples rule most curves out before any count (the filter of
+    Sutherland, "Computing Hilbert class polynomials with the Chinese
+    Remainder Theorem", Math. Comp. 80 (2011)).
+    """
+    a = E.a
+    P = _random_point(E, rng)
+    R = _ec_mul(E.ctx.q + 1, P, a)
+    for t in traces:
+        S = _ec_mul(t, P, a)
+        if R is None or S is None:
+            if R is S:
+                return True
+        elif R[0] == S[0]:
+            return True
+    return False

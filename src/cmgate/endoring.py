@@ -6,7 +6,10 @@ The central operation is endo_discriminant.  Provider A walks the
 l-isogeny volcanoes below the Frobenius conductor (non-backtracking BFS to
 the floor; a vertex strictly above the floor has all l+1 neighbours
 rational, the floor has exactly one, and j = 0 / 1728 are always on the
-crater since their endomorphism rings are maximal).  Provider B locates j
+crater since their endomorphism rings are maximal).  A walk reads the
+rational neighbours of j from polyring.rational_roots on Phi_l(j, T): the
+squarefree parts' gcds with T^q - T give the count with multiplicity, and
+only those products of linear factors are split.  Provider B locates j
 among the roots of the class polynomial built independently in classpoly;
 disagreement aborts with ProviderDisagreement, never a guess.
 """
@@ -213,14 +216,7 @@ def _neighbor_data(j: FieldElement, level: int) -> tuple[int, tuple]:
     cached = _neighbor_cache.get(key)
     if cached is not None:
         return cached
-    poly = phi_at_j(level, j)
-    total = 0
-    roots: list[FieldElement] = []
-    for factor, mult in polyring.factor_univariate(poly):
-        if factor.degree() == 1:
-            total += mult
-            roots.append(-factor.coeffs[0])
-    roots.sort(key=lambda r: r.encoding())
+    total, roots = polyring.rational_roots(phi_at_j(level, j))
     data = (total, tuple(roots))
     _neighbor_cache[key] = data
     return data
@@ -474,22 +470,18 @@ def ordinary_disc_map(ctx: FieldCtx) -> dict[int, object]:
 
     Cached per context; the workhorse behind sweep-built class polynomials
     and the exhaustive acceptance checks.  Frobenius conjugates share their
-    discriminant, so each orbit is classified once; point counting inside
-    the sweep prefers baby-step giant-step early because the per-curve
-    naive scan is quadratic across a whole-field sweep.
+    discriminant, so each orbit is classified once.
     """
     key = (ctx.p, ctx.k)
     with _disc_map_lock:
         cached = _disc_map_cache.get(key)
     if cached is not None:
         return cached
-    sweep_naive_max = 600 if ctx.k > 1 else ecurve.NAIVE_THRESHOLD
     out: dict[int, object] = {}
     for j in ffield.enumerate_elements(ctx):
         if j.encoding() in out:
             continue
         jm = ffield.minimal_field(j)
-        ecurve.trace_of_j(jm, naive_threshold=sweep_naive_max)
         try:
             verdict: object = provider_a_disc(jm)
         except SupersingularInput:

@@ -83,24 +83,22 @@ def _ip_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _ip_rem(prod, m, p)
+                prod[i + j] += ai * bj
+    return _ip_rem([c % p for c in prod], m, p)
 
 
 def _ip_rem(a: list[int], m: list[int], p: int) -> list[int]:
-    a = a[:]
+    """a mod m for a nonzero m; entries of a must lie in [0, p)."""
+    a = _ip_trim(a[:])
     dm = len(m) - 1
     inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and any(a):
-        _ip_trim(a)
-        if len(a) - 1 < dm:
-            break
+    while len(a) > dm:
         c = a[-1] * inv_lead % p
         shift = len(a) - 1 - dm
         for i, mi in enumerate(m):
             a[shift + i] = (a[shift + i] - c * mi) % p
         _ip_trim(a)
-    return _ip_trim(a)
+    return a
 
 
 def _ip_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:

@@ -6,6 +6,13 @@ distinct-degree / equal-degree chain; equal-degree splitting draws its
 "random" elements from a deterministic generator keyed by the input, so
 every run factors identically.
 
+Callers that need only the roots in the base field (volcano walks) take
+rational_roots: per squarefree part, one gcd with T^q - T and the
+equal-degree split of that product of linear factors, with no factorization
+of the rest.  UniPoly.pow_mod, the hot loop of both, runs on int lists in
+fields with log tables (q <= 2^16): residues mod p through ffield's F_p
+kernels when k = 1, discrete logs with Zech additions when k >= 2.
+
 Bivariate factorization is deliberately not implemented; the only decision
 offered is is_absolutely_irreducible, which combines exact pattern rules
 (lines, binomials, monomials) with a point-counting test for total degree
@@ -163,7 +170,24 @@ class UniPoly:
         )
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
-        result = UniPoly.one(self.ctx)
+        """self^e mod modulus (e >= 0) by square-and-multiply.
+
+        With log tables (q <= _TABLE_MAX) the loop runs on int lists: on
+        residues through ffield's F_p kernels when k = 1, on discrete logs
+        when k >= 2.  Larger fields multiply element objects.
+        """
+        ctx = self.ctx
+        if ctx.log is not None:
+            self._check(modulus)
+            if modulus.is_zero():
+                raise ZeroPolynomial("division by the zero polynomial")
+            if ctx.k == 1:
+                ints = ffield._ip_powmod(
+                    [c.n for c in self.coeffs], e, [c.n for c in modulus.coeffs], ctx.p
+                )
+                return UniPoly(ctx, [ctx._elem(ctx, c) for c in ints])
+            return _log_pow_mod(self, e, modulus)
+        result = UniPoly.one(ctx)
         base = self % modulus
         while e:
             if e & 1:
@@ -213,6 +237,68 @@ class UniPoly:
             if not c.is_zero():
                 parts.append(f"{list(c.coeffs)}*T^{i}")
         return "UniPoly(" + " + ".join(parts) + ")"
+
+
+def _log_pow_mod(f: UniPoly, e: int, modulus: UniPoly) -> UniPoly:
+    """pow_mod for k >= 2 with tables: coefficients are discrete logs, -1 for 0.
+
+    A product adds logs; a sum g^c + g^u = g^(c + Z[u - c]) is one Zech
+    lookup, and subtracting g^u adds g^(u + half).
+    """
+    ctx = f.ctx
+    log, zech, qm1 = ctx.log, ctx.zech, ctx.qm1
+    m = [log[c.n] if c.n else -1 for c in modulus.coeffs]
+    dm = len(m) - 1
+    # log of -m_i / lead for each nonzero m_i below the top
+    lead = m[-1] - ctx.half
+    neg = [(i, (li - lead) % qm1) for i, li in enumerate(m[:-1]) if li >= 0]
+
+    def mulmod(a: list[int], b: list[int]) -> list[int]:
+        if not a or not b:
+            return []
+        r = [-1] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai < 0:
+                continue
+            for j, bj in enumerate(b, i):
+                if bj < 0:
+                    continue
+                c = r[j]
+                if c < 0:
+                    r[j] = (ai + bj) % qm1
+                else:
+                    z = zech[(ai + bj - c) % qm1]
+                    r[j] = (c + z) % qm1 if z >= 0 else -1
+        # reduce: cancel the top term against modulus, from the top down
+        top = len(r) - 1
+        while top >= dm:
+            t = r.pop()
+            shift = top - dm
+            top -= 1
+            if t < 0:
+                continue
+            for i, u in neg:
+                u += t
+                j = shift + i
+                c = r[j]
+                if c < 0:
+                    r[j] = u % qm1
+                else:
+                    z = zech[(u - c) % qm1]
+                    r[j] = (c + z) % qm1 if z >= 0 else -1
+        while r and r[-1] < 0:
+            r.pop()
+        return r
+
+    base = mulmod([log[c.n] if c.n else -1 for c in f.coeffs], [0])
+    result = [0]
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        base = mulmod(base, base)
+        e >>= 1
+    exp, elem = ctx.exp, ctx._elem
+    return UniPoly(ctx, [elem(ctx, exp[c]) if c >= 0 else ctx.zero() for c in result])
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +403,34 @@ def factor_univariate(f: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
+def _linear_part(f: UniPoly, q: int) -> UniPoly:
+    """gcd(f, T^q - T): the monic product of T - a over the distinct roots a
+    of f in F_q, for a subfield F_q of f's context (nonzero, non-constant f)."""
+    x = UniPoly.x(f.ctx)
+    return f.gcd(x.pow_mod(q, f) - x)
+
+
+def rational_roots(f: UniPoly) -> tuple[int, list[FieldElement]]:
+    """(number of roots of f in its own field counted with multiplicity,
+    the distinct roots sorted by encoding).
+
+    Each squarefree part contributes gcd(part, T^q - T), whose degree
+    times the part's multiplicity adds to the count, and only that product
+    of linear factors is split.  This is the first distinct-degree step of
+    factor_univariate, without the higher degrees.
+    """
+    q = f.ctx.q
+    total = 0
+    roots = []
+    for part, mult in squarefree_decomposition(f):
+        lin = part if part.degree() == 1 else _linear_part(part, q)
+        if lin.degree() >= 1:
+            total += lin.degree() * mult
+            roots.extend(-g.coeffs[0] for g in _equal_degree_split(lin, 1))
+    roots.sort(key=lambda r: r.encoding())
+    return total, roots
+
+
 def roots_in(f: UniPoly, k: int) -> list[FieldElement]:
     """Distinct roots of f lying in F_{p^k}, sorted by encoding."""
     if f.is_zero():
@@ -329,12 +443,10 @@ def roots_in(f: UniPoly, k: int) -> list[FieldElement]:
     g = f.lift_to(work)
     if g.degree() < 1:
         return []
-    x = UniPoly.x(work)
-    xq = x.pow_mod(p**k, g)
-    lin = g.gcd(xq - x)  # product of (T - a) over roots a in the F_{p^k} subfield
+    lin = _linear_part(g, p**k)
     roots = []
     if lin.degree() >= 1:
-        for factor in _equal_degree_split(lin.monic(), 1):
+        for factor in _equal_degree_split(lin, 1):
             root = -factor.coeffs[0]
             roots.append(root if work is target else ffield.descend(root, target))
     roots.sort(key=lambda r: r.encoding())
@@ -642,7 +754,6 @@ def _count_points(f: BiPoly, ext_degree: int) -> int:
     big = make_field(ctx.p, ctx.k * ext_degree)
     f_big = BiPoly(big, {key: embed(c, big) for key, c in f.terms.items()})
     total = 0
-    x_poly = UniPoly.x(big)
     for enc in range(big.q):
         x = big.from_encoding(enc)
         fy = f_big.substitute_x(x)
@@ -651,8 +762,7 @@ def _count_points(f: BiPoly, ext_degree: int) -> int:
             continue
         if fy.degree() < 1:
             continue
-        xq = x_poly.pow_mod(big.q, fy)
-        total += fy.gcd(xq - x_poly).degree()
+        total += _linear_part(fy, big.q).degree()
     return total
 
 

@@ -10,7 +10,7 @@ from cmgate.errors import (
     PDividesD,
     PInert,
 )
-from cmgate._numutil import is_prime
+from cmgate._numutil import crc_rng, is_prime
 
 F5 = ff.make_field(5, 1)
 F7 = ff.make_field(7, 1)
@@ -172,6 +172,33 @@ class TestHilbertModP:
         assert calls == []
         ref = cp.reference_table()[-31]
         assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 19 for c in ref]
+
+
+class TestTraceFilter:
+    @pytest.mark.parametrize("D,p", [(-40, 103), (-31, 19)])
+    def test_passes_at_every_root(self, D, p):
+        # sound: a curve whose trace is in the set passes for every point
+        H = cp.hilbert_mod_p(D, p)
+        q = H.root_ctx.q
+        traces = cp._representation_traces(D, q, p)
+        rng = crc_rng("trace-filter-roots", D, p)
+        for r in H.roots:
+            E = ec.curve_from_j(r)
+            assert all(ec.trace_filter(E, traces, rng) for _ in range(200))
+
+    def test_sampled_collector_skips_counts(self, monkeypatch):
+        # q = 103^2 is sampled; without the filter every candidate is counted
+        for module, name in ((cp, "_hilbert_cache"), (ec, "_trace_cache"),
+                             (er, "_disc_cache"), (er, "_neighbor_cache")):
+            monkeypatch.setattr(module, name, {})
+        calls = []
+        count = ec.count_points
+        monkeypatch.setattr(ec, "count_points", lambda E: calls.append(E.ctx.q) or count(E))
+        assert cp.SWEEP_MAX_Q < 103**2
+        H = cp.hilbert_mod_p(-40, 103)
+        assert 0 < len(calls) <= 100
+        ref = cp.reference_table()[-40]
+        assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 103 for c in ref]
 
 
 class TestHilbertEval:

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from cmgate import ecurve as ec
@@ -107,6 +109,44 @@ class TestBsgsOracle:
                 continue
             scan = ctx.q + 1 + sum(ec._chi(ctx, E.rhs(x)) for x in ff.enumerate_elements(ctx))
             assert ec._naive_count(E) == scan
+
+
+    def test_bsgs_above_the_table_cut(self):
+        # tuple elements key the baby steps by their coefficient tuples
+        ctx = ff.make_field(100003, 1)
+        assert ctx.log is None
+        rng = crc_rng("bsgs-tuple-keys")
+        for _ in range(4):
+            E = ec.curve_from_j(ctx.from_int(rng.randrange(ctx.q)))
+            assert ec._bsgs_count(E) == ec._naive_count(E)
+
+    def test_one_cut_point(self, monkeypatch):
+        # the same cut serves prime and extension fields
+        used = []
+        monkeypatch.setattr(ec, "_naive_count", lambda E: used.append(E.ctx.q) or 0)
+        monkeypatch.setattr(ec, "_bsgs_count", lambda E: 0)
+        fields = [(41, 2), (43, 2), (1789, 1), (1801, 1)]  # 1681, 1849, 1789, 1801
+        for p, k in fields:
+            ec.count_points(ec.curve_from_j(ff.make_field(p, k).from_int(5)))
+        assert used == [p**k for p, k in fields if p**k <= ec.NAIVE_THRESHOLD] == [1681, 1789]
+
+
+class TestTraceFilter:
+    @pytest.mark.parametrize("p,k", [(13, 2), (103, 1), (7, 3)])
+    def test_against_full_counts(self, p, k):
+        ctx = ff.make_field(p, k)
+        rng = crc_rng("trace-filter", p, k)
+        rejected = 0
+        for _ in range(40):
+            E = ec.curve_from_j(ctx.from_encoding(rng.randrange(ctx.q)))
+            t = ctx.q + 1 - ec._naive_count(E)
+            # never rejects the true trace, nor its negative
+            assert ec.trace_filter(E, {abs(t)}, rng)
+            assert ec.trace_filter(E.quadratic_twist(), {abs(t)}, rng)
+            others = {s for s in range(1, 2 * isqrt(ctx.q) + 1) if s != abs(t)}
+            wrong = set(rng.sample(sorted(others), 2))
+            rejected += not ec.trace_filter(E, wrong, rng)
+        assert rejected >= 30  # and rules most wrong traces out
 
 
 class TestFrobeniusData:

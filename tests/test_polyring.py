@@ -113,6 +113,115 @@ class TestRootsIn:
         assert len(r2) == 4
 
 
+def object_pow_mod(f, e, modulus):
+    """The element-object square-and-multiply the table kernels replace."""
+    result = pr.UniPoly.one(f.ctx)
+    base = f % modulus
+    while e:
+        if e & 1:
+            result = (result * base) % modulus
+        base = (base * base) % modulus
+        e >>= 1
+    return result
+
+
+def random_poly(ctx, rng, degree, lead=None):
+    coeffs = [ctx.from_encoding(rng.randrange(ctx.q)) for _ in range(degree)]
+    coeffs.append(lead if lead is not None else ctx.from_encoding(rng.randrange(1, ctx.q)))
+    return pr.UniPoly(ctx, coeffs)
+
+
+class TestTablePowMod:
+    # k = 1 and k >= 2 fields of the suite, and the largest tabled fields
+    @pytest.mark.parametrize("p,k", [
+        (5, 1), (7, 1), (13, 1), (19, 1), (103, 1), (65521, 1),
+        (5, 2), (7, 2), (13, 2), (43, 2), (103, 2), (5, 3), (19, 3), (5, 4), (5, 6), (251, 2),
+    ])
+    def test_matches_object_square_and_multiply(self, p, k):
+        ctx = ff.make_field(p, k)
+        assert ctx.log is not None  # the table path is the one under test
+        rng = crc_rng("table-pow-mod", p, k)
+        for trial in range(10):
+            dm = 1 if trial < 3 else rng.randrange(2, 9)
+            # monic and non-monic moduli; bases below, at and above their degree
+            lead = ctx.one() if trial % 2 else None
+            modulus = random_poly(ctx, rng, dm, lead)
+            base = random_poly(ctx, rng, rng.randrange(0, 2 * dm + 3))
+            q = ctx.q
+            for e in (0, 1, 2, q, (q**dm - 1) // 2, rng.randrange(q**3)):
+                assert base.pow_mod(e, modulus) == object_pow_mod(base, e, modulus), (trial, e)
+
+    def test_edge_operands(self):
+        for ctx in (F7, F25):
+            m = U(ctx, 3, 1, 2)
+            assert pr.UniPoly.zero(ctx).pow_mod(0, m) == pr.UniPoly.one(ctx)
+            assert pr.UniPoly.zero(ctx).pow_mod(5, m).is_zero()
+            # a constant modulus leaves nothing but the e = 0 power
+            c = U(ctx, 2)
+            assert pr.UniPoly.x(ctx).pow_mod(3, c).is_zero()
+            assert pr.UniPoly.x(ctx).pow_mod(0, c) == pr.UniPoly.one(ctx)
+            with pytest.raises(ZeroPolynomial):
+                pr.UniPoly.x(ctx).pow_mod(3, pr.UniPoly.zero(ctx))
+
+    def test_frobenius_power_is_identity_on_roots(self):
+        # T^q = T modulo a product of distinct linear factors over F_q
+        ctx = ff.make_field(13, 2)
+        f = pr.UniPoly.one(ctx)
+        for n in (0, 1, 7, 100, 168):
+            f = f * pr.UniPoly(ctx, [-ctx.from_encoding(n), ctx.one()])
+        x = pr.UniPoly.x(ctx)
+        assert x.pow_mod(ctx.q, f) == x
+
+
+class TestRationalRoots:
+    @staticmethod
+    def linear_factors(f):
+        """Oracle: the degree-1 factors of the full factorization."""
+        total, roots = 0, []
+        for g, mult in pr.factor_univariate(f):
+            if g.degree() == 1:
+                total += mult
+                roots.append(-g.coeffs[0])
+        return total, sorted(roots, key=lambda r: r.encoding())
+
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_phi_at_every_j_of_quadratic_field(self, p):
+        from cmgate import endoring as er
+
+        ctx = ff.make_field(p, 2)
+        repeated = 0
+        for level in er.supported_levels():
+            if level == p:
+                continue
+            for j in ff.enumerate_elements(ctx):  # 0 and 1728 included
+                f = er.phi_at_j(level, j)
+                total, roots = pr.rational_roots(f)
+                assert (total, roots) == self.linear_factors(f), (level, j)
+                repeated += total > len(roots)
+        assert repeated  # some Phi_l(j, T) has a repeated rational root
+
+    def test_sampled_j_above_the_table_cut(self):
+        from cmgate import endoring as er
+
+        ctx = ff.make_field(257, 2)
+        assert ctx.log is None
+        rng = crc_rng("rational-roots-big", 257, 2)
+        for level in (2, 3):
+            for _ in range(3):
+                f = er.phi_at_j(level, ctx.from_encoding(rng.randrange(ctx.q)))
+                assert pr.rational_roots(f) == self.linear_factors(f)
+
+    def test_multiplicities_and_constants(self):
+        lin1, lin2 = U(F7, -2, 1), U(F7, -3, 1)
+        irr = U(F7, 1, 0, 1)  # T^2 + 1 has no root in F_7
+        f = lin1 * lin1 * lin1 * lin2 * irr * irr
+        total, roots = pr.rational_roots(f.scale(F7.from_int(3)))
+        assert total == 4 and [r.lift() for r in roots] == [2, 3]
+        assert pr.rational_roots(U(F7, 5)) == (0, [])
+        with pytest.raises(ZeroPolynomial):
+            pr.rational_roots(pr.UniPoly.zero(F7))
+
+
 class TestResultant:
     def test_linear_elimination(self):
         f = B(F5, {(1, 0): 1, (0, 1): 1, (0, 0): -1})  # X + Y - 1
