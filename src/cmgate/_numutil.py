@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from math import gcd
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -46,15 +47,9 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = gcd_int(abs(x - y), n)
+            d = gcd(abs(x - y), n)
         if d != n:
             return d
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factorize(n: int) -> dict[int, int]:

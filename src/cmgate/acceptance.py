@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 from . import classpoly, ecurve, endoring, ffield, gates, ordertools, polyring
-from .errors import SizeExceeded, SupersingularInput, UnsupportedLevel
+from .errors import SupersingularInput, UnsupportedLevel
 from .ffield import make_field
 from .polyring import BiPoly, UniPoly
 from ._numutil import crc_rng, is_prime
@@ -160,10 +163,9 @@ def _feasible_triples(want: int, split_ell: bool):
             d_min = 1
             for _ in range(4):
                 try:
-                    if split_ell:
-                        D = _find_split_control(ell, p, d_min)
-                    else:
-                        D = classpoly.find_test_discriminant(ell, p, d_min)
+                    D = classpoly.find_test_discriminant(
+                        ell, p, d_min, ell_symbol=1 if split_ell else -1
+                    )
                 except Exception:
                     break
                 d_min = -D
@@ -174,20 +176,6 @@ def _feasible_triples(want: int, split_ell: bool):
                 triples.append((D, ell, p))
                 break
     return triples
-
-
-def _find_split_control(ell: int, p: int, d_min: int) -> int:
-    d_abs = max(3, d_min + 1)
-    while d_abs <= 10**6:
-        if (
-            d_abs % 4 == 3
-            and is_prime(d_abs)
-            and classpoly.kronecker(-d_abs, ell) == 1
-            and classpoly.kronecker(-d_abs, p) == 1
-        ):
-            return -d_abs
-        d_abs += 1
-    raise SizeExceeded("no control discriminant found")
 
 
 def criterion_4() -> CriterionResult:
@@ -455,24 +443,39 @@ def _capture_cli(argv) -> bytes:
     return json.dumps({"code": code, "stdout": buf.getvalue()}).encode()
 
 
+def _capture_process(argv, hashseed: str) -> bytes:
+    """The same capture from a fresh interpreter under the given hash seed."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-m", "cmgate.cli", *argv],
+                          capture_output=True, env=env)
+    return json.dumps({"code": proc.returncode, "stdout": proc.stdout.decode()}).encode()
+
+
 def criterion_12() -> CriterionResult:
     commands = [
-        ["--format", "json", "--seed", "7", "ao-gate", "--p", "5",
-         "--curve", "X - Y^5", "--kmax", "2"],
-        ["--format", "json", "--seed", "7", "support-mult", "--p", "5",
-         "--A", "t", "--B", "t^2", "--nmax", "6"],
-        ["--format", "json", "--seed", "7", "hilbert", "--D", "-15", "--p", "61"],
-        ["--format", "json", "--seed", "7", "construct-points", "--p", "5",
-         "--curve", "X*Y - 1", "--nmax", "2", "--count", "2"],
+        ["--format", "json", "ao-gate", "--p", "5", "--curve", "X - Y^5", "--kmax", "2"],
+        ["--format", "json", "support-mult", "--p", "5", "--A", "t", "--B", "t^2",
+         "--nmax", "6"],
+        ["--format", "json", "hilbert", "--D", "-15", "--p", "61"],
+        ["--format", "json", "construct-points", "--p", "5", "--curve", "X*Y - 1",
+         "--nmax", "2", "--count", "2"],
     ]
     for argv in commands:
         first = _capture_cli(argv)
-        second = _capture_cli(argv)
-        if first != second:
+        if _capture_cli(argv) != first:
             return _result(12, "determinism", False,
                            f"output differs across runs: {argv}")
+        # fresh interpreters under two hash seeds rule out hash-order leaks
+        # that one process, whose seed is fixed, would reproduce every time
+        for hashseed in ("1", "99"):
+            if _capture_process(argv, hashseed) != first:
+                return _result(12, "determinism", False,
+                               f"output differs in a fresh process "
+                               f"(PYTHONHASHSEED={hashseed}): {argv}")
     return _result(12, "determinism", True,
-                   "repeated runs are byte-identical for all probed commands")
+                   "in-process reruns and fresh processes under two hash seeds "
+                   "are byte-identical for all probed commands")
 
 
 REGISTRY = {

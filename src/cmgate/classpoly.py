@@ -371,9 +371,11 @@ def reference_table() -> dict[int, list[int]]:
 # ---------------------------------------------------------------------------
 
 def find_test_discriminant(
-    ell: int, p: int, d_min: int, ceiling: int = SEARCH_CEILING_DEFAULT
+    ell: int, p: int, d_min: int, ceiling: int = SEARCH_CEILING_DEFAULT,
+    ell_symbol: int = -1,
 ) -> int:
-    """Smallest prime |D| > d_min with -|D| = 1 mod 4, ell inert, p split."""
+    """Smallest prime |D| > d_min with -|D| = 1 mod 4, (D | ell) = ell_symbol
+    and p split: ell_symbol = -1 makes ell inert, 1 makes it split."""
     if ell == p:
         raise ValueError("the two primes must be distinct")
     if not (is_prime(ell) and is_prime(p)):
@@ -383,7 +385,7 @@ def find_test_discriminant(
         if (
             d_abs % 4 == 3
             and is_prime(d_abs)
-            and kronecker(-d_abs, ell) == -1
+            and kronecker(-d_abs, ell) == ell_symbol
             and kronecker(-d_abs, p) == 1
         ):
             return -d_abs

@@ -6,9 +6,10 @@ with the fixed top-level schema
     {command, config, verdict, witnesses, exceptions, bounds, timings, result}
 
 The timings field carries deterministic work counters rather than wall-clock
-numbers: with a fixed seed the whole JSON byte stream is reproducible, which
-the selftest checks.  Exit codes: 0 pass/success, 1 gate fail (witnesses in
-the report), 2 usage error, 3 internal consistency sentinel.
+numbers, so the whole JSON byte stream is reproducible across runs and
+processes, which the selftest checks.  Exit codes: 0 pass/success, 1 gate
+fail (witnesses in the report), 2 usage error, 3 internal consistency
+sentinel.
 """
 
 from __future__ import annotations
@@ -17,8 +18,14 @@ import argparse
 import json
 import sys
 
-from . import classpoly, ecurve, endoring, ffield, gates, ordertools, polyring
-from .errors import CmgateError, ParseError, ProviderDisagreement, WrongVariables
+from . import classpoly, endoring, gates, ordertools
+from .errors import (
+    CmgateError,
+    InternalInvariant,
+    ParseError,
+    ProviderDisagreement,
+    WrongVariables,
+)
 from .ffield import make_field
 from .polyring import BiPoly, UniPoly
 
@@ -450,12 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and desk-scale theorem gates over finite fields.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="recorded in the config echo; all internal "
-                             "randomness is purpose-keyed and deterministic")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker pool size hint; results are identical "
-                             "at any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cmd(name, fn, **kwargs):
@@ -586,8 +587,8 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
         return args.func(args)
-    except ProviderDisagreement as exc:
-        print(f"internal sentinel: {exc}", file=sys.stderr)
+    except (ProviderDisagreement, InternalInvariant, AssertionError) as exc:
+        print(f"internal sentinel: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SENTINEL
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

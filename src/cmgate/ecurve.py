@@ -198,7 +198,7 @@ def _sqrt(ctx: FieldCtx, u: FieldElement) -> FieldElement:
 def count_points(E: EllipticCurve) -> int:
     """#E(F_q) including the point at infinity."""
     ctx = E.ctx
-    if ctx.q > ffield.size_bound():
+    if ctx.q > ffield.SIZE_BOUND:
         raise SizeExceeded("field beyond the configured size bound")
     if ctx.q <= NAIVE_THRESHOLD:
         return _naive_count(E)
@@ -336,11 +336,6 @@ def _bsgs_count(E: EllipticCurve) -> int:
 def frobenius_data(E: EllipticCurve) -> FrobeniusData:
     n = count_points(E)
     return FrobeniusData(E.ctx.q, E.ctx.q + 1 - n)
-
-
-def is_supersingular(E: EllipticCurve) -> bool:
-    """True iff p divides the Frobenius trace."""
-    return frobenius_data(E).t % E.ctx.p == 0
 
 
 _trace_cache: dict[tuple[int, int, int], int] = {}

@@ -1,6 +1,5 @@
 """Endomorphism rings of ordinary curves via isogeny volcanoes, with a
-Hilbert-class-polynomial cross-check; Frobenius CM invariance; geometric
-isogeny testing.
+Hilbert-class-polynomial cross-check; geometric isogeny testing.
 
 The central operation is endo_discriminant.  Provider A walks the
 l-isogeny volcanoes below the Frobenius conductor (non-backtracking BFS to
@@ -87,11 +86,6 @@ def split_discriminant(d: int) -> tuple[int, int]:
         return m, sq
     assert sq % 2 == 0, "discriminant congruence forces an even square part"
     return 4 * m, sq // 2
-
-
-def cm_order_from_disc(D: int) -> CMOrder:
-    d_K, f = split_discriminant(D)
-    return CMOrder(d_K, f)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +342,6 @@ def endo_discriminant(j: FieldElement, hilbert_check: str | bool = "auto") -> CM
             f"{j.encoding()} over F_{p}^{j.ctx.k}, but H_D(j) != 0"
         )
     return order
-
-
-def frobenius_cm_check(j: FieldElement, hilbert_check: str | bool = "auto") -> bool:
-    """Prop-3.1 sentinel: the CM order is Frobenius-invariant.
-
-    Always true mathematically; a False return is a falsification signal.
-    """
-    d1 = endo_discriminant(j, hilbert_check)
-    d2 = endo_discriminant(ffield.frobenius(j), hilbert_check)
-    return d1 == d2
 
 
 # ---------------------------------------------------------------------------

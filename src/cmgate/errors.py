@@ -9,6 +9,10 @@ class CmgateError(Exception):
     """Base class for all cmgate errors."""
 
 
+class InternalInvariant(CmgateError):
+    """Internal sentinel: an invariant the algorithms rely on does not hold."""
+
+
 # --- field construction / arithmetic ---------------------------------------
 
 class CompositeP(CmgateError):
@@ -43,10 +47,6 @@ class ZeroElement(CmgateError):
 
 class ZeroPolynomial(CmgateError):
     """Operation undefined for the zero polynomial."""
-
-
-class BothConstantInX(CmgateError):
-    """Resultant elimination needs positive degree in the eliminated variable."""
 
 
 class ConstantPolynomial(CmgateError):
@@ -101,10 +101,6 @@ class IndexDivisibleByP(CmgateError):
 
 class EqualPrimes(CmgateError):
     """The two primes must be distinct."""
-
-
-class BadExponent(CmgateError):
-    """Exponent violates the coprimality preconditions."""
 
 
 # --- CLI ----------------------------------------------------------------------

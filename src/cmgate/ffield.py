@@ -47,24 +47,12 @@ from .errors import (
 )
 from ._numutil import factorize, is_prime
 
-_DEFAULT_SIZE_BOUND = 1 << 26
+#: the largest p^k for which a context is built or a field enumerated
+SIZE_BOUND = 1 << 26
 _TABLE_MAX = 1 << 16
 
-_size_bound = _DEFAULT_SIZE_BOUND
 _ctx_cache: dict[tuple[int, int], "FieldCtx"] = {}
 _cache_lock = threading.Lock()
-
-
-def set_size_bound(bound: int) -> None:
-    """Override the p^k ceiling for context creation and enumeration."""
-    global _size_bound
-    if bound < 5:
-        raise ValueError("size bound must be at least 5")
-    _size_bound = bound
-
-
-def size_bound() -> int:
-    return _size_bound
 
 
 # ---------------------------------------------------------------------------
@@ -78,36 +66,51 @@ def _ip_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _ip_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+def _ip_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b, each coefficient reduced mod p once."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return _ip_rem([c % p for c in prod], m, p)
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+    return _ip_trim([c % p for c in prod])
 
 
-def _ip_rem(a: list[int], m: list[int], p: int) -> list[int]:
-    """a mod m for a nonzero m; entries of a must lie in [0, p)."""
+def _ip_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        ai = a[i] if i < len(a) else 0
+        bi = b[i] if i < len(b) else 0
+        out[i] = (ai - bi) % p
+    return _ip_trim(out)
+
+
+def _ip_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by a nonzero b; entries of a lie in [0, p)."""
     a = _ip_trim(a[:])
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) > dm:
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(0, len(a) - db)
+    while len(a) > db:
+        c = a[-1] * inv % p
+        shift = len(a) - 1 - db
+        q[shift] = c
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * bi) % p
         _ip_trim(a)
-    return a
+    return _ip_trim(q), a
 
 
 def _ip_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
     result = [1]
-    base = _ip_rem(a[:], m, p)
+    base = _ip_divmod(a, m, p)[1]
     while e:
         if e & 1:
-            result = _ip_mulmod(result, base, m, p)
-        base = _ip_mulmod(base, base, m, p)
+            result = _ip_divmod(_ip_mul(result, base, p), m, p)[1]
+        base = _ip_divmod(_ip_mul(base, base, p), m, p)[1]
         e >>= 1
     return result
 
@@ -115,7 +118,7 @@ def _ip_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
 def _ip_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = a[:], b[:]
     while b:
-        a = _ip_rem(a, b, p)
+        a = _ip_divmod(a, b, p)[1]
         a, b = b, a
     if a:
         inv = pow(a[-1], p - 2, p)
@@ -224,12 +227,7 @@ class FieldCtx:
         return self._from_reduced(tuple(cs))
 
     def from_encoding(self, n: int) -> "FieldElement":
-        p = self.p
-        v = []
-        for _ in range(self.k):
-            n, r = divmod(n, p)
-            v.append(r)
-        return _PolyElement(self, tuple(v))
+        return _PolyElement(self, _decode(n, self.p, self.k))
 
     def gen(self) -> "FieldElement":
         """The power-basis generator (the class of T); k >= 2 only."""
@@ -289,8 +287,9 @@ class FieldCtx:
         while e:
             if e & 1:
                 result = self._mul_coeffs(result, a)
-            a = self._mul_coeffs(a, a)
             e >>= 1
+            if e:
+                a = self._mul_coeffs(a, a)
         return result
 
     def _factors_qm1(self) -> dict[int, int]:
@@ -319,42 +318,6 @@ class FieldCtx:
 
     def __reduce__(self):
         return (make_field, (self.p, self.k))
-
-
-def _ip_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _ip_trim(prod)
-
-
-def _ip_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _ip_trim(out)
-
-
-def _ip_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _ip_trim(a)
-    return _ip_trim(q), a
 
 
 class _TableCtx(FieldCtx):
@@ -461,10 +424,7 @@ class _PolyElement(FieldElement):
         return not any(self.coeffs)
 
     def encoding(self) -> int:
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.ctx.p + c
-        return n
+        return _encode(self.coeffs, self.ctx.p)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         if self.ctx is not other.ctx:
@@ -501,15 +461,8 @@ class _PolyElement(FieldElement):
     def __pow__(self, e: int) -> "FieldElement":
         ctx = self.ctx
         if e < 0:
-            return (self ** (-e)).inverse()
-        result = ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            return _PolyElement(ctx, ctx._inv_coeffs(ctx._pow_coeffs(self.coeffs, -e)))
+        return _PolyElement(ctx, ctx._pow_coeffs(self.coeffs, e))
 
     def inverse(self) -> "FieldElement":
         return _PolyElement(self.ctx, self.ctx._inv_coeffs(self.coeffs))
@@ -705,19 +658,14 @@ def make_field(p: int, k: int) -> FieldCtx:
         raise CharTooSmall("characteristic 2 and 3 are not supported")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**k > _size_bound:
-        raise SizeExceeded(f"p^k = {p**k} exceeds the size bound {_size_bound}")
+    if p**k > SIZE_BOUND:
+        raise SizeExceeded(f"p^k = {p**k} exceeds the size bound {SIZE_BOUND}")
     if k == 1:
         modulus = (0, 1)
     else:
         modulus = None
         for n in range(p**k):
-            cand = []
-            m = n
-            for _ in range(k):
-                m, r = divmod(m, p)
-                cand.append(r)
-            cand.append(1)
+            cand = [*_decode(n, p, k), 1]
             if _is_irreducible(cand, p):
                 modulus = tuple(cand)
                 break
@@ -725,23 +673,6 @@ def make_field(p: int, k: int) -> FieldCtx:
     ctx = (_TableCtx if p**k <= _TABLE_MAX else FieldCtx)(p, k, modulus)
     with _cache_lock:
         return _ctx_cache.setdefault(key, ctx)
-
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Field arithmetic dispatcher: op in {'add','sub','mul','div'}."""
-    if a.ctx is not b.ctx:
-        raise ContextMismatch("elements live in different contexts")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def frobenius(x: FieldElement) -> FieldElement:
@@ -785,7 +716,7 @@ def multiplicative_order(x: FieldElement) -> int:
 
 def enumerate_elements(ctx: FieldCtx) -> Iterator[FieldElement]:
     """All q elements, by ascending base-p encoding."""
-    if ctx.q > _size_bound:
+    if ctx.q > SIZE_BOUND:
         raise SizeExceeded("enumeration beyond the size bound")
     for n in range(ctx.q):
         yield ctx.from_encoding(n)
@@ -843,28 +774,17 @@ def distinguished_generator(ctx: FieldCtx) -> FieldElement:
             ((q - 1) // (p**d - 1), _minpoly_coeffs(distinguished_generator(sub)))
         )
     factors = ctx._factors_qm1()
-    if k == 1:
-        found = None
-        for n in range(2, p):
-            x = ctx.from_int(n)
-            if _order_is(x, p - 1, factors):
-                found = x
-                break
-        assert found is not None
+    for n in range(1, q):
+        x = ctx.from_encoding(n)
+        if _order_is(x, q - 1, factors) and all(
+            _minpoly_coeffs(x ** e) == mp for e, mp in constraints
+        ):
+            break
     else:
-        found = None
-        for n in range(1, q):
-            x = ctx.from_encoding(n)
-            if not _order_is(x, q - 1, factors):
-                continue
-            if all(_minpoly_coeffs(x ** e) == mp for e, mp in constraints):
-                found = x
-                break
-        if found is None:
-            raise AssertionError(f"no compatible generator for {ctx!r}")
+        raise AssertionError(f"no compatible generator for {ctx!r}")
     with ctx._lock:
         if ctx._dist_gen is None:
-            ctx._dist_gen = found
+            ctx._dist_gen = x
     return ctx._dist_gen
 
 

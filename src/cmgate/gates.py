@@ -12,16 +12,10 @@ emitted.
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
 from . import classpoly, ecurve, endoring, ffield, polyring
-from .errors import (
-    PDividesD,
-    PInert,
-    SizeExceeded,
-    SupersingularInput,
-    UnsupportedLevel,
-)
+from .errors import SizeExceeded, SupersingularInput, UnsupportedLevel
 from .ffield import FieldCtx, FieldElement, make_field
 from .polyring import BiPoly, UniPoly
 
@@ -126,13 +120,9 @@ def enumerate_curve_points(C: PlaneCurve, k: int):
 def _new_points_at_level(C: PlaneCurve, k: int):
     """Points over F_{p^k} not already defined over a proper subfield."""
     for x, y in enumerate_curve_points(C, k):
-        level = _lcm(ffield.element_degree(x), ffield.element_degree(y))
+        level = lcm(ffield.element_degree(x), ffield.element_degree(y))
         if level == k * C.ctx.k:
             yield (x, y)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +449,6 @@ def modular_support_check(
 
 def _frobenius_power_relation(A: UniPoly, B: UniPoly):
     """Match A = B^(p^n) or B = A^(p^n) as polynomials (n = 0 included)."""
-    p = A.ctx.p
     if A == B:
         return ("A=B^p^n", 0)
     for direction, big, small in (("B=A^p^n", B, A), ("A=B^p^n", A, B)):
@@ -468,10 +457,7 @@ def _frobenius_power_relation(A: UniPoly, B: UniPoly):
         while power.degree() <= big.degree():
             if power == big and n > 0:
                 return (direction, n)
-            nxt = UniPoly.one(A.ctx)
-            for _ in range(p):
-                nxt = nxt * power
-            power = nxt
+            power = power.pth_power()
             n += 1
     return None
 
@@ -491,8 +477,8 @@ def mult_support_check(
          "k_bound": k_bound, "m_bound": m_bound},
     )
     for n in range(n_floor + 1, n_max + 1):
-        An = _poly_pow(A, n) - one
-        Bn = _poly_pow(B, n) - one
+        An = A**n - one
+        Bn = B**n - one
         if polyring.radical_divides(An, Bn):
             report.bump("n_pass")
             continue
@@ -523,24 +509,13 @@ def mult_support_check(
     return report
 
 
-def _poly_pow(f: UniPoly, n: int) -> UniPoly:
-    out = UniPoly.one(f.ctx)
-    base = f
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base
-        n >>= 1
-    return out
-
-
 def _power_relation_scan(A: UniPoly, B: UniPoly, k_bound: int, m_bound: int):
     p = A.ctx.p
     # exact power B = A^e first, reported in the canonical form e = k * p^m
     # with p coprime to k (so (t, t^5) reads as k = 1, m = 1)
     if B.degree() % A.degree() == 0:
         e = B.degree() // A.degree()
-        if e >= 1 and _poly_pow(A, e) == B:
+        if e >= 1 and A**e == B:
             k, m = e, 0
             while k % p == 0:
                 k //= p
@@ -552,11 +527,11 @@ def _power_relation_scan(A: UniPoly, B: UniPoly, k_bound: int, m_bound: int):
         deg = Bp.degree()
         if deg % A.degree() == 0:
             k = deg // A.degree()
-            if 1 <= k <= k_bound and _poly_pow(A, k) == Bp:
+            if 1 <= k <= k_bound and A**k == Bp:
                 return (k, m)
         if Bp.degree() > k_bound * A.degree():
             break
-        Bp = _poly_pow(Bp, p)
+        Bp = Bp.pth_power()
     return None
 
 

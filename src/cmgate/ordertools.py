@@ -1,5 +1,4 @@
-"""Cyclotomic polynomials, cyclotomic-tower Galois structure, and the
-exponent-witness check for the torsion side of the gates.
+"""Cyclotomic polynomials and the Galois structure of cyclotomic towers.
 
 Cyclotomic polynomials are built over the integers by exact recursive
 division and only then reduced into a field context, so no intermediate
@@ -10,9 +9,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from . import ffield
-from .errors import BadExponent, EqualPrimes, IndexDivisibleByP, SizeExceeded
-from .ffield import FieldCtx, make_field
+from .errors import EqualPrimes, IndexDivisibleByP
+from .ffield import FieldCtx
 from .polyring import UniPoly
 from ._numutil import factorize, is_prime
 
@@ -155,40 +153,3 @@ def _valuation(n: int, prime: int) -> int:
         n //= prime
         v += 1
     return v
-
-
-def galois_exponent_witness(ell: int, p: int, a: int, m: int) -> bool:
-    """Whether some Frobenius power acts on mu_{l^m} as zeta -> zeta^a.
-
-    Decided by scanning p^e mod l^m over one period; when the minimal field
-    containing mu_{l^m} fits under the size bound, the action is confirmed
-    on a concrete generator of mu_{l^m}.
-    """
-    if ell == p:
-        raise EqualPrimes("the two primes must be distinct")
-    if gcd(a, ell) != 1 or gcd(a, p) != 1:
-        raise BadExponent("exponent must be coprime to both primes")
-    modulus = ell**m
-    a_red = a % modulus
-    order = multiplicative_order_mod(p, modulus)
-    exponent = None
-    value = 1
-    for e in range(order):
-        if value == a_red:
-            exponent = e
-            break
-        value = value * p % modulus
-    if exponent is None:
-        return False
-    try:
-        ctx = make_field(p, order)
-    except SizeExceeded:
-        return True  # arithmetic verdict stands; no in-field confirmation
-    assert (ctx.q - 1) % modulus == 0
-    zeta = ffield.distinguished_generator(ctx) ** ((ctx.q - 1) // modulus)
-    assert ffield.multiplicative_order(zeta) == modulus
-    lhs = zeta
-    for _ in range(exponent):
-        lhs = ffield.frobenius(lhs)
-    assert lhs == zeta ** (p**exponent)
-    return lhs == zeta**a_red

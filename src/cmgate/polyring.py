@@ -21,13 +21,13 @@ up to 3.
 
 from __future__ import annotations
 
-from math import gcd as int_gcd
+from math import gcd, lcm
 
 from . import ffield
 from .errors import (
-    BothConstantInX,
     ConstantPolynomial,
     ContextMismatch,
+    InternalInvariant,
     SizeExceeded,
     UnsupportedCurveDegree,
     ZeroPolynomial,
@@ -78,9 +78,6 @@ class UniPoly:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading() == self.ctx.one()
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")
@@ -122,6 +119,29 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
+        return UniPoly(ctx, out)
+
+    def __pow__(self, e: int) -> "UniPoly":
+        """self^e (e >= 0) by square-and-multiply."""
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
+        out = UniPoly.one(self.ctx)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return out
+
+    def pth_power(self) -> "UniPoly":
+        """self^p: in characteristic p, (sum c_i T^i)^p = sum c_i^p T^(ip)."""
+        ctx = self.ctx
+        p = ctx.p
+        out = [ctx.zero()] * (p * self.degree() + 1)
+        for i, c in enumerate(self.coeffs):
+            out[i * p] = ffield.frobenius(c)
         return UniPoly(ctx, out)
 
     def scale(self, c: FieldElement) -> "UniPoly":
@@ -366,15 +386,26 @@ def _distinct_degree(f: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
+#: splitters drawn before _equal_degree_split gives up.  On a valid input a
+#: draw fails to split with probability at most 13/25 (two linear factors
+#: over F_5, constant draws included), so 64 failures in a row do not happen;
+#: the draws are keyed by the input, so the outcome cannot flake either
+_EDF_MAX_DRAWS = 64
+
+
 def _equal_degree_split(f: UniPoly, d: int) -> list[UniPoly]:
-    """Cantor-Zassenhaus on a squarefree monic product of degree-d irreducibles."""
+    """Cantor-Zassenhaus on a squarefree monic product of degree-d irreducibles.
+
+    Raises InternalInvariant when f is not such a product (an irreducible
+    factor of another degree never splits off).
+    """
     if f.degree() == d:
         return [f]
     ctx = f.ctx
     rng = crc_rng("edf", ctx.p, ctx.k, tuple(c.encoding() for c in f.coeffs), d)
     exponent = (ctx.q**d - 1) // 2
     one = UniPoly.one(ctx)
-    while True:
+    for _ in range(_EDF_MAX_DRAWS):
         a = UniPoly(
             ctx, [ctx.from_encoding(rng.randrange(ctx.q)) for _ in range(f.degree())]
         )
@@ -386,6 +417,10 @@ def _equal_degree_split(f: UniPoly, d: int) -> list[UniPoly]:
             return _equal_degree_split(s.monic(), d) + _equal_degree_split(
                 (f // s).monic(), d
             )
+    raise InternalInvariant(
+        f"no split of a degree-{f.degree()} input into degree-{d} factors "
+        f"after {_EDF_MAX_DRAWS} draws"
+    )
 
 
 def factor_univariate(f: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -437,7 +472,7 @@ def roots_in(f: UniPoly, k: int) -> list[FieldElement]:
         raise ZeroPolynomial("the zero polynomial has every root")
     base = f.ctx
     p = base.p
-    work_deg = _lcm(base.k, k)
+    work_deg = lcm(base.k, k)
     target = make_field(p, k)  # raises SizeExceeded beyond the bound
     work = target if work_deg == k else make_field(p, work_deg)
     g = f.lift_to(work)
@@ -492,10 +527,6 @@ class BiPoly:
                 clean[(int(i), int(j))] = c
         self.ctx = ctx
         self.terms = clean
-
-    @classmethod
-    def from_int_terms(cls, ctx: FieldCtx, terms: dict) -> "BiPoly":
-        return cls(ctx, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -595,113 +626,12 @@ def eval_bi(f: BiPoly, x: FieldElement, y: FieldElement) -> FieldElement:
     p = f.ctx.p
     if x.ctx.p != p or y.ctx.p != p:
         raise ContextMismatch("mixed characteristics")
-    k = _lcm(_lcm(f.ctx.k, x.ctx.k), y.ctx.k)
+    k = lcm(f.ctx.k, x.ctx.k, y.ctx.k)
     try:
         common = make_field(p, k)
     except SizeExceeded as exc:
         raise ContextMismatch(f"no common extension within the size bound: {exc}")
     return f.evaluate(embed(x, common), embed(y, common))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // int_gcd(a, b)
-
-
-# ---------------------------------------------------------------------------
-# resultants
-# ---------------------------------------------------------------------------
-
-def _uni_resultant(a: UniPoly, b: UniPoly) -> FieldElement:
-    """Resultant of univariate polynomials over a field (Euclidean chain)."""
-    ctx = a.ctx
-    if a.is_zero() or b.is_zero():
-        return ctx.zero()
-    if a.degree() == 0:
-        return a.coeffs[0] ** b.degree() if b.degree() >= 0 else ctx.one()
-    if b.degree() == 0:
-        return b.coeffs[0] ** a.degree()
-    res = ctx.one()
-    while b.degree() > 0:
-        r = a % b
-        if r.is_zero():
-            return ctx.zero()
-        da, db, dr = a.degree(), b.degree(), r.degree()
-        if (da * db) % 2 == 1:
-            res = -res
-        res = res * b.leading() ** (da - dr)
-        a, b = b, r
-    return res * b.coeffs[0] ** a.degree()
-
-
-def resultant_y_eliminate(f: BiPoly, g: BiPoly) -> UniPoly:
-    """Res_X(f, g): the X-eliminated resultant, a polynomial in Y.
-
-    Computed by evaluation at enough Y-values in an extension (avoiding
-    zeros of either leading X-coefficient) and Lagrange interpolation back
-    to the base context.
-    """
-    if f.ctx is not g.ctx:
-        raise ContextMismatch("polynomials live in different contexts")
-    ctx = f.ctx
-    m, n = f.degree_x(), g.degree_x()
-    if m <= 0 and n <= 0:
-        raise BothConstantInX("neither input involves X")
-    if f.is_zero() or g.is_zero():
-        return UniPoly.zero(ctx)
-    if m <= 0:
-        # Res_X(c(Y), g) = c(Y)^deg_X(g)
-        base = f.coeffs_in_x()[0] if f.terms else UniPoly.zero(ctx)
-        out = UniPoly.one(ctx)
-        for _ in range(n):
-            out = out * base
-        return out
-    if n <= 0:
-        base = g.coeffs_in_x()[0]
-        out = UniPoly.one(ctx)
-        for _ in range(m):
-            out = out * base
-        return out
-    fy, gy = f.degree_y(), g.degree_y()
-    bound = m * gy + n * fy
-    lead_f = f.coeffs_in_x()[-1]
-    lead_g = g.coeffs_in_x()[-1]
-    need = bound + 1
-    e = 1
-    while ctx.q**e < need + lead_f.degree() + lead_g.degree() + 1:
-        e += 1
-    big = make_field(ctx.p, ctx.k * e)
-    points: list[FieldElement] = []
-    values: list[FieldElement] = []
-    enc = 0
-    lf = lead_f.lift_to(big)
-    lg = lead_g.lift_to(big)
-    while len(points) < need:
-        y = big.from_encoding(enc)
-        enc += 1
-        if lf.evaluate(y).is_zero() or lg.evaluate(y).is_zero():
-            continue
-        points.append(y)
-        values.append(_uni_resultant(f.substitute_y(y), g.substitute_y(y)))
-    res_big = _lagrange(points, values)
-    coeffs = []
-    for c in res_big.coeffs:
-        coeffs.append(ffield.descend(c, ctx))
-    return UniPoly(ctx, coeffs)
-
-
-def _lagrange(xs: list[FieldElement], ys: list[FieldElement]) -> UniPoly:
-    ctx = xs[0].ctx
-    master = UniPoly.one(ctx)
-    for x in xs:
-        master = master * UniPoly(ctx, [-x, ctx.one()])
-    acc = UniPoly.zero(ctx)
-    for x, y in zip(xs, ys):
-        if y.is_zero():
-            continue
-        num = master // UniPoly(ctx, [-x, ctx.one()])
-        denom = num.evaluate(x)
-        acc = acc + num.scale(y / denom)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +719,7 @@ def is_absolutely_irreducible(f: BiPoly) -> bool:
         return False
     if len(f.terms) == 2:
         (i1, j1), (i2, j2) = f.terms
-        return int_gcd(abs(i1 - i2), abs(j1 - j2)) == 1
+        return gcd(abs(i1 - i2), abs(j1 - j2)) == 1
     if d > _COUNTING_MAX_DEGREE:
         raise UnsupportedCurveDegree(
             f"no decision procedure for dense curves of total degree {d}"

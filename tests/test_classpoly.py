@@ -160,8 +160,9 @@ class TestHilbertModP:
         assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 19 for c in ref]
 
     def test_sampled_path_counts_by_bsgs(self, monkeypatch):
-        # q = 19^3 = 6859 lies between SWEEP_MAX_Q and the naive-count
-        # threshold; the sampled collector must not pay O(q) counts there
+        # q = 19^3 = 6859 lies above SWEEP_MAX_Q and above NAIVE_THRESHOLD,
+        # so every count the sampled collector makes must run BSGS, never
+        # the O(q) character scan
         for module, name in ((cp, "_hilbert_cache"), (ec, "_trace_cache"),
                              (er, "_disc_cache"), (er, "_neighbor_cache")):
             monkeypatch.setattr(module, name, {})
@@ -219,12 +220,14 @@ class TestFindTestDiscriminant:
         assert cp.find_test_discriminant(2, 5, 1) == -11
 
     def test_postconditions(self):
-        for ell, p, d_min in ((2, 7, 10), (3, 11, 30), (7, 13, 5)):
-            D = cp.find_test_discriminant(ell, p, d_min)
-            assert D < 0 and -D > d_min
-            assert is_prime(-D) and (-D) % 4 == 3
-            assert cp.kronecker(D, ell) == -1
-            assert cp.kronecker(D, p) == 1
+        # ell inert (the default) and ell split (the sharpness controls)
+        for ell_symbol in (-1, 1):
+            for ell, p, d_min in ((2, 7, 10), (3, 11, 30), (7, 13, 5)):
+                D = cp.find_test_discriminant(ell, p, d_min, ell_symbol=ell_symbol)
+                assert D < 0 and -D > d_min
+                assert is_prime(-D) and (-D) % 4 == 3
+                assert cp.kronecker(D, ell) == ell_symbol
+                assert cp.kronecker(D, p) == 1
 
 
 class TestInertObstruction:

@@ -6,7 +6,7 @@ import pytest
 
 from cmgate import cli
 from cmgate import ffield as ff
-from cmgate.errors import ParseError, WrongVariables
+from cmgate.errors import InternalInvariant, ParseError, WrongVariables
 
 
 def run_cli(*argv):
@@ -174,6 +174,19 @@ class TestCommands:
         code, _ = run_cli("ao-gate", "--p", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("exc", [
+        AssertionError("re-verification failed"),
+        InternalInvariant("broken invariant"),
+    ])
+    def test_internal_errors_exit_sentinel(self, monkeypatch, capsys, exc):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_kronecker", broken)
+        code, out = run_cli("kronecker", "-7", "5")
+        assert code == cli.EXIT_SENTINEL and out == ""
+        assert "internal sentinel" in capsys.readouterr().err
+
     def test_unknown_variable_is_usage_error(self):
         code, _ = run_cli("ao-gate", "--p", "5", "--curve", "X - W", "--kmax", "2")
         assert code == 2
@@ -187,8 +200,8 @@ class TestCommands:
 class TestDeterminism:
     def test_byte_identical_json(self):
         argv = ("ao-gate", "--p", "5", "--curve", "X - Y^5", "--kmax", "2")
-        _, first = run_cli("--format", "json", "--seed", "3", *argv)
-        _, second = run_cli("--format", "json", "--seed", "3", *argv)
+        _, first = run_cli("--format", "json", *argv)
+        _, second = run_cli("--format", "json", *argv)
         assert first == second
 
     def test_cross_process_byte_identity(self):

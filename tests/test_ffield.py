@@ -36,6 +36,24 @@ class TestMakeField:
     def test_quadratic_modulus_matches_oracle(self, p):
         assert ff.make_field(p, 2).modulus == brute_smallest_irreducible_quadratic(p)
 
+    @pytest.mark.parametrize("p,k,modulus,generator", [
+        # (p, k, defining modulus, distinguished generator's encoding);
+        # q <= 2^16 up to (5, 6) and (19, 3), q > 2^16 for the last three
+        (5, 3, (1, 1, 0, 1), 9),
+        (5, 4, (2, 0, 0, 0, 1), 32),
+        (5, 6, (2, 1, 0, 0, 0, 0, 1), 198),
+        (7, 3, (2, 0, 0, 1), 22),
+        (13, 3, (2, 0, 0, 1), 33),
+        (19, 3, (2, 0, 0, 1), 46),
+        (17, 4, (3, 0, 0, 0, 1), 352),
+        (257, 2, (3, 0, 1), 562),
+        (100003, 1, (0, 1), 2),
+    ])
+    def test_pinned_conventions(self, p, k, modulus, generator):
+        ctx = ff.make_field(p, k)
+        assert ctx.modulus == modulus
+        assert ff.distinguished_generator(ctx).encoding() == generator
+
     def test_composite_p_rejected(self):
         with pytest.raises(CompositeP):
             ff.make_field(4, 1)
@@ -51,22 +69,22 @@ class TestMakeField:
 class TestArith:
     def test_mul(self):
         F5 = ff.make_field(5, 1)
-        assert ff.arith(F5.from_int(3), F5.from_int(4), "mul") == F5.from_int(2)
+        assert F5.from_int(3) * F5.from_int(4) == F5.from_int(2)
 
     def test_div_verified_by_multiplying_back(self):
         F5 = ff.make_field(5, 1)
-        q = ff.arith(F5.from_int(2), F5.from_int(3), "div")
+        q = F5.from_int(2) / F5.from_int(3)
         assert q == F5.from_int(4)
         assert q * F5.from_int(3) == F5.from_int(2)
 
     def test_division_by_zero(self):
         F5 = ff.make_field(5, 1)
         with pytest.raises(DivisionByZero):
-            ff.arith(F5.one(), F5.zero(), "div")
+            F5.one() / F5.zero()
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
-            ff.arith(ff.make_field(5, 1).one(), ff.make_field(7, 1).one(), "add")
+            ff.make_field(5, 1).one() + ff.make_field(7, 1).one()
 
     def test_field_axioms_sampled(self):
         F49 = ff.make_field(7, 2)

@@ -165,7 +165,7 @@ class TestModularSupport:
         # A arbitrary small poly, B = A^p: radical of H(A) always divides H(B)
         for coeffs in ((0, 1), (1, 1), (2, 3, 1)):
             A = upoly(*coeffs)
-            B = g._poly_pow(A, 5)
+            B = A**5
             report = g.modular_support_check(g.RingElementPair(A, B), self.D_SET)
             assert not report.witnesses
 

@@ -3,7 +3,7 @@ import pytest
 from cmgate import ffield as ff
 from cmgate import ordertools as ot
 from cmgate import polyring as pr
-from cmgate.errors import BadExponent, EqualPrimes, IndexDivisibleByP
+from cmgate.errors import EqualPrimes, IndexDivisibleByP
 
 F5 = ff.make_field(5, 1)
 F7 = ff.make_field(7, 1)
@@ -104,36 +104,3 @@ class TestStabilizationThreshold:
     def test_equal_primes_rejected(self):
         with pytest.raises(EqualPrimes):
             ot.stabilization_threshold(5, 5, 3)
-
-
-class TestGaloisExponentWitness:
-    def test_identity_exponent(self):
-        assert ot.galois_exponent_witness(3, 5, 1, 2)
-
-    def test_frobenius_itself(self):
-        # a congruent to p mod l^m (the exponent of Frobenius itself);
-        # a = 14 = 5 mod 9 keeps the coprimality preconditions intact
-        assert ot.galois_exponent_witness(3, 5, 14, 2)
-        assert ot.galois_exponent_witness(3, 5, 2, 1)  # 5 = 2 mod 3
-
-    def test_power_scan_example(self):
-        # 5^2 = 25 = 7 mod 9
-        assert ot.galois_exponent_witness(3, 5, 7, 2)
-
-    def test_negative_case(self):
-        # powers of 5 mod 9 are {1, 5, 7, 8, 4, 2}; 3 is excluded by
-        # coprimality, so use a = 6 -> BadExponent; a = 9k+3 likewise;
-        # a genuine non-power coprime to 15 mod 9: none exist (5 generates
-        # (Z/9)*), so drop to ell = 2: powers of 7 mod 16 are {1, 7}
-        assert not ot.galois_exponent_witness(2, 7, 3, 4)
-        assert ot.galois_exponent_witness(2, 7, 23, 4)  # 23 = 7 mod 16
-
-    def test_bad_exponent(self):
-        with pytest.raises(BadExponent):
-            ot.galois_exponent_witness(3, 5, 6, 2)
-        with pytest.raises(BadExponent):
-            ot.galois_exponent_witness(3, 5, 10, 2)
-
-    def test_equal_primes(self):
-        with pytest.raises(EqualPrimes):
-            ot.galois_exponent_witness(5, 5, 2, 1)

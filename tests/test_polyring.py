@@ -3,8 +3,8 @@ import pytest
 from cmgate import ffield as ff
 from cmgate import polyring as pr
 from cmgate.errors import (
-    BothConstantInX,
     ConstantPolynomial,
+    InternalInvariant,
     UnsupportedCurveDegree,
     ZeroPolynomial,
 )
@@ -173,6 +173,42 @@ class TestTablePowMod:
         assert x.pow_mod(ctx.q, f) == x
 
 
+class TestPowers:
+    FIELDS = [(5, 1), (5, 2), (5, 3), (103, 1), (257, 2)]
+
+    @pytest.mark.parametrize("p,k", FIELDS)
+    def test_pow_matches_repeated_product(self, p, k):
+        ctx = ff.make_field(p, k)
+        rng = crc_rng("uni-pow", p, k)
+        for deg in (0, 1, 3):
+            f = random_poly(ctx, rng, deg)
+            acc = pr.UniPoly.one(ctx)
+            for e in range(10):
+                assert f**e == acc
+                acc = acc * f
+        assert pr.UniPoly.zero(ctx) ** 0 == pr.UniPoly.one(ctx)
+        with pytest.raises(ValueError):
+            pr.UniPoly.x(ctx) ** -1
+
+    @pytest.mark.parametrize("p,k", FIELDS)
+    def test_pth_power_matches_pow(self, p, k):
+        # coefficient-wise Frobenius with exponents spread by p is f^p
+        ctx = ff.make_field(p, k)
+        rng = crc_rng("uni-pth-power", p, k)
+        for deg in (0, 1, 2, 4):
+            f = random_poly(ctx, rng, deg)
+            assert f.pth_power() == f**p
+        assert pr.UniPoly.zero(ctx).pth_power().is_zero()
+
+
+class TestEqualDegreeSplit:
+    def test_factor_of_another_degree_raises(self):
+        # T^2 + 2 is irreducible over F_5, so no draw splits it into
+        # linear factors; the split must give up rather than loop
+        with pytest.raises(InternalInvariant):
+            pr._equal_degree_split(U(F5, 2, 0, 1), 1)
+
+
 class TestRationalRoots:
     @staticmethod
     def linear_factors(f):
@@ -220,58 +256,6 @@ class TestRationalRoots:
         assert pr.rational_roots(U(F7, 5)) == (0, [])
         with pytest.raises(ZeroPolynomial):
             pr.rational_roots(pr.UniPoly.zero(F7))
-
-
-class TestResultant:
-    def test_linear_elimination(self):
-        f = B(F5, {(1, 0): 1, (0, 1): 1, (0, 0): -1})  # X + Y - 1
-        g = B(F5, {(1, 0): 1, (0, 1): -1})  # X - Y
-        res = pr.resultant_y_eliminate(f, g)
-        assert res.degree() == 1
-        roots = pr.roots_in(res, 1)
-        assert [r.coeffs[0] for r in roots] == [3]  # Y = 1/2
-
-    def test_common_component_gives_zero(self):
-        g = B(F5, {(1, 0): 1, (0, 1): -1})
-        assert pr.resultant_y_eliminate(g, g).is_zero()
-
-    def test_no_common_zero_gives_nonzero_constant(self):
-        f = B(F5, {(1, 1): 1, (0, 0): -1})  # XY - 1
-        g = B(F5, {(1, 0): 1})  # X
-        res = pr.resultant_y_eliminate(f, g)
-        assert res.degree() == 0 and not res.is_zero()
-
-    def test_both_constant_rejected(self):
-        f = B(F5, {(0, 1): 1})
-        with pytest.raises(BothConstantInX):
-            pr.resultant_y_eliminate(f, f)
-
-    def test_matches_pointwise_univariate_resultant(self):
-        rng = crc_rng("res-pointwise")
-        for _ in range(5):
-            f = B(F5, {(i, j): rng.randrange(5) for i in range(3) for j in range(3)})
-            g = B(F5, {(i, j): rng.randrange(5) for i in range(2) for j in range(3)})
-            if f.degree_x() < 1 or g.degree_x() < 1:
-                continue
-            res = pr.resultant_y_eliminate(f, g)
-            lf = f.coeffs_in_x()[-1]
-            lg = g.coeffs_in_x()[-1]
-            for enc in range(5):
-                y = F5.from_encoding(enc)
-                if lf.evaluate(y).is_zero() or lg.evaluate(y).is_zero():
-                    continue
-                direct = pr._uni_resultant(f.substitute_y(y), g.substitute_y(y))
-                assert res.evaluate(y) == direct
-
-    def test_vanishes_at_common_zeros(self):
-        f = B(F5, {(1, 0): 1, (0, 1): 1, (0, 0): -1})
-        g = B(F5, {(2, 0): 1, (0, 1): -1})  # X^2 - Y
-        res = pr.resultant_y_eliminate(f, g)
-        for xe in range(5):
-            for ye in range(5):
-                x, y = F5.from_encoding(xe), F5.from_encoding(ye)
-                if pr.eval_bi(f, x, y).is_zero() and pr.eval_bi(g, x, y).is_zero():
-                    assert res.evaluate(y).is_zero()
 
 
 class TestRadicalDivides:

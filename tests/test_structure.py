@@ -1,9 +1,12 @@
 """Cross-module structural invariants: the volcano regularity facts the
 floor detection relies on, crater neighbour counts, embedding coherence on
-deeper towers, the modular-data extension point, and thread safety of the
-shared caches."""
+deeper towers, the modular-data extension point, thread safety of the
+shared caches, and that the package defines nothing it does not use."""
 
+import ast
 import os
+import pathlib
+import re
 import sys
 import threading
 
@@ -202,3 +205,50 @@ class TestThreadSafety:
         assert not errors and len(seen) == 8
         assert len({id(ctx) for ctx, _, _ in seen}) == 1
         assert all(n_log == 169 and n_zech == 168 for _, n_log, n_zech in seen)
+
+
+class TestNoDeadDefinitions:
+    PACKAGE = pathlib.Path(ff.__file__).parent
+
+    # called only from the tests, each kept for the reason given
+    TEST_REFERENCE_APIS = {
+        "FieldCtx.from_coeffs": "builds elements from coefficient vectors "
+                                "in the field differential tests",
+        "FieldElement.lift": "reads a prime-field element as an int in tests",
+        "EllipticCurve.base_change": "the base-change invariance test",
+        "reference_table": "the vendored H_D oracle the tests compare against",
+    }
+
+    @staticmethod
+    def definitions(tree):
+        """(qualified name, line) of module-level functions and classes and
+        of their methods, dunders excluded."""
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")
+                    ):
+                        yield f"{node.name}.{sub.name}", sub.lineno
+
+    def test_every_definition_is_used(self):
+        # each name must occur as a word somewhere in the package other than
+        # on its own definition line
+        lines = {
+            path: path.read_text().splitlines()
+            for path in sorted(self.PACKAGE.glob("*.py"))
+        }
+        unused = []
+        for path, body in lines.items():
+            for qualname, lineno in self.definitions(ast.parse("\n".join(body))):
+                word = re.compile(rf"\b{re.escape(qualname.rsplit('.', 1)[-1])}\b")
+                if not any(
+                    word.search(line)
+                    for other, other_body in lines.items()
+                    for n, line in enumerate(other_body, 1)
+                    if not (other == path and n == lineno)
+                ):
+                    unused.append(qualname)
+        assert sorted(unused) == sorted(self.TEST_REFERENCE_APIS)
