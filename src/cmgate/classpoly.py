@@ -10,10 +10,10 @@ anchor that keeps the two endomorphism-ring providers honest.
 
 from __future__ import annotations
 
-import threading
+import os
 from math import gcd, isqrt
 
-from . import ecurve, endoring, ffield, polyring
+from . import _cache, ecurve, endoring, ffield, polyring
 from .errors import (
     BothZero,
     NotADiscriminant,
@@ -24,6 +24,7 @@ from .errors import (
     SizeExceeded,
     SupersingularInput,
     UnsupportedLevel,
+    _require,
 )
 from .ffield import FieldElement, make_field
 from .polyring import UniPoly
@@ -123,14 +124,11 @@ def reduced_forms(D: int) -> list[ReducedForm]:
     return out
 
 
-_class_number_cache: dict[int, int] = {}
-
-
 def class_number(D: int) -> int:
-    h = _class_number_cache.get(D)
+    class_numbers = _cache.store("class_number")
+    h = class_numbers.get(D)
     if h is None:
-        h = len(reduced_forms(D))
-        _class_number_cache[D] = h
+        h = _cache.publish(class_numbers, D, len(reduced_forms(D)))
     return h
 
 
@@ -187,10 +185,6 @@ def class_order_of_p(D: int, p: int, max_q: int | None = None) -> int | None:
     return None
 
 
-_hilbert_cache: dict[tuple[int, int], ClassPolynomialModP] = {}
-_hilbert_lock = threading.Lock()
-
-
 def hilbert_mod_p(D: int, p: int) -> ClassPolynomialModP:
     """H_D mod p by root collection, for split p not dividing D.
 
@@ -199,9 +193,8 @@ def hilbert_mod_p(D: int, p: int) -> ClassPolynomialModP:
     candidate cannot be classified (conductor primes beyond the vendored
     modular-polynomial levels).
     """
-    key = (D, p)
-    with _hilbert_lock:
-        cached = _hilbert_cache.get(key)
+    hilberts = _cache.store("hilbert")
+    cached = hilberts.get((D, p))
     if cached is not None:
         return cached
     validate_discriminant(D)
@@ -236,7 +229,7 @@ def hilbert_mod_p(D: int, p: int) -> ClassPolynomialModP:
         )
     root_set = {r.encoding() for r in roots}
     for r in roots:
-        assert ffield.frobenius(r).encoding() in root_set, "root set not Galois-stable"
+        _require(ffield.frobenius(r).encoding() in root_set, "root set not Galois-stable")
     poly_big = UniPoly.one(ctx)
     for r in roots:
         poly_big = poly_big * UniPoly(ctx, [-r, ctx.one()])
@@ -245,11 +238,9 @@ def hilbert_mod_p(D: int, p: int) -> ClassPolynomialModP:
     for c in poly_big.coeffs:
         coeffs.append(c if ctx.k == 1 else ffield.descend(c, prime_field))
     poly = UniPoly(prime_field, coeffs)
-    assert poly.gcd(poly.derivative()).degree() == 0, "H_D mod p must be squarefree"
+    _require(poly.gcd(poly.derivative()).degree() == 0, "H_D mod p must be squarefree")
     result = ClassPolynomialModP(D, poly.ctx, poly, ctx, roots)
-    with _hilbert_lock:
-        _hilbert_cache[key] = result
-    return result
+    return _cache.publish(hilberts, (D, p), result)
 
 
 def _collect_roots_sweep(D: int, p: int, m: int, h: int) -> list[FieldElement]:
@@ -350,11 +341,7 @@ def hilbert_eval(D: int, x: FieldElement) -> FieldElement:
 
 def reference_table() -> dict[int, list[int]]:
     """The vendored integer H_D table (cross-check data, never construction)."""
-    import os
-
-    from . import endoring as _er
-
-    path = os.path.join(_er._data_dir(), "hilbert_small.txt")
+    path = os.path.join(_cache.data_dir(), "hilbert_small.txt")
     out: dict[int, list[int]] = {}
     with open(path) as fh:
         for line in fh:
@@ -370,10 +357,7 @@ def reference_table() -> dict[int, list[int]]:
 # discriminant search and the inert obstruction
 # ---------------------------------------------------------------------------
 
-def find_test_discriminant(
-    ell: int, p: int, d_min: int, ceiling: int = SEARCH_CEILING_DEFAULT,
-    ell_symbol: int = -1,
-) -> int:
+def find_test_discriminant(ell: int, p: int, d_min: int, ell_symbol: int = -1) -> int:
     """Smallest prime |D| > d_min with -|D| = 1 mod 4, (D | ell) = ell_symbol
     and p split: ell_symbol = -1 makes ell inert, 1 makes it split."""
     if ell == p:
@@ -381,7 +365,7 @@ def find_test_discriminant(
     if not (is_prime(ell) and is_prime(p)):
         raise ValueError("both arguments must be prime")
     d_abs = max(3, d_min + 1)
-    while d_abs <= ceiling:
+    while d_abs <= SEARCH_CEILING_DEFAULT:
         if (
             d_abs % 4 == 3
             and is_prime(d_abs)
@@ -391,7 +375,7 @@ def find_test_discriminant(
             return -d_abs
         d_abs += 1
     raise SearchCeilingExceeded(
-        f"no admissible discriminant with |D| <= {ceiling} (d_min={d_min})"
+        f"no admissible discriminant with |D| <= {SEARCH_CEILING_DEFAULT} (d_min={d_min})"
     )
 
 

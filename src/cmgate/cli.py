@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     ProviderDisagreement,
     WrongVariables,
+    _require,
 )
 from .ffield import make_field
 from .polyring import BiPoly, UniPoly
@@ -159,7 +160,7 @@ def parse_ring_element(text: str, ctx) -> UniPoly:
     bi = parse_curve(text, ctx, variables=("t",))
     coeffs = [ctx.zero()] * (bi.degree_x() + 1)
     for (i, j), c in bi.terms.items():
-        assert j == 0
+        _require(j == 0, "a ring element has no Y terms")
         coeffs[i] = c
     return UniPoly(ctx, coeffs)
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from math import isqrt
 
-from . import ffield
-from .errors import SizeExceeded
+from . import _cache, ffield
+from .errors import SizeExceeded, _require
 from .ffield import FieldCtx, FieldElement, embed
 from ._numutil import crc_rng, factorize
 
@@ -92,7 +92,7 @@ def curve_from_j(j: FieldElement) -> EllipticCurve:
     a = j.scale(3) * w
     b = j.scale(2) * w * w
     curve = EllipticCurve(a, b)
-    assert curve.j == j
+    _require(curve.j == j, "the model of j must have j-invariant j")
     return curve
 
 
@@ -167,7 +167,7 @@ def _sqrt(ctx: FieldCtx, u: FieldElement) -> FieldElement:
     log = ctx.log
     if log is not None:
         lg = log[u.encoding()]
-        assert lg % 2 == 0
+        _require(lg % 2 == 0, "a square has an even discrete log")
         return ctx.from_encoding(ctx.exp[lg // 2])
     q = ctx.q
     s, t = 0, q - 1
@@ -282,7 +282,7 @@ def _point_order(P, a, lo: int, hi: int) -> int:
             break
         R = _ec_add(R, mP, a)
         i += 1
-    assert annihilator is not None, "group order must annihilate every point"
+    _require(annihilator is not None, "group order must annihilate every point")
     if annihilator == 0:
         return 1
     d = annihilator
@@ -338,17 +338,14 @@ def frobenius_data(E: EllipticCurve) -> FrobeniusData:
     return FrobeniusData(E.ctx.q, E.ctx.q + 1 - n)
 
 
-_trace_cache: dict[tuple[int, int, int], int] = {}
-
-
 def trace_of_j(j: FieldElement) -> FrobeniusData:
     """Frobenius data of the fixed model over the minimal field of j (cached)."""
     jm = ffield.minimal_field(j)
     key = (jm.ctx.p, jm.ctx.k, jm.encoding())
-    t = _trace_cache.get(key)
+    traces = _cache.store("trace")
+    t = traces.get(key)
     if t is None:
-        t = frobenius_data(curve_from_j(jm)).t
-        _trace_cache[key] = t
+        t = _cache.publish(traces, key, frobenius_data(curve_from_j(jm)).t)
     return FrobeniusData(jm.ctx.q, t)
 
 

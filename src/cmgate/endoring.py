@@ -16,14 +16,14 @@ disagreement aborts with ProviderDisagreement, never a guess.
 from __future__ import annotations
 
 import os
-import threading
 
-from . import ecurve, ffield, polyring
+from . import _cache, ecurve, ffield, polyring
 from .errors import (
     ProviderDisagreement,
     SizeExceeded,
     SupersingularInput,
     UnsupportedLevel,
+    _require,
 )
 from .ffield import FieldCtx, FieldElement, make_field
 from .polyring import BiPoly, UniPoly
@@ -84,7 +84,7 @@ def split_discriminant(d: int) -> tuple[int, int]:
     m = -(n // (sq * sq))  # squarefree, negative
     if m % 4 == 1:
         return m, sq
-    assert sq % 2 == 0, "discriminant congruence forces an even square part"
+    _require(sq % 2 == 0, "discriminant congruence forces an even square part")
     return 4 * m, sq // 2
 
 
@@ -111,20 +111,15 @@ class ModularPolynomial:
         return f"ModularPolynomial(level={self.level}, terms={len(self.terms)})"
 
 
-_DATA_DIR_DEFAULT = os.path.join(os.path.dirname(__file__), "data")
-_phi_cache: dict[tuple[str, int], ModularPolynomial] = {}
-_phi_mod_cache: dict[tuple[str, int, int], BiPoly] = {}
-_phi_lock = threading.Lock()
-
-
-def _data_dir() -> str:
-    return os.environ.get("CMGATE_DATA_DIR", _DATA_DIR_DEFAULT)
-
-
 def supported_levels() -> tuple[int, ...]:
+    """The levels l with a phi_<l>.txt in the data dir, listed once per dir."""
+    found = _cache.store("levels")
+    levels = found.get(None)
+    if levels is not None:
+        return levels
     out = []
     try:
-        for name in os.listdir(_data_dir()):
+        for name in os.listdir(_cache.data_dir()):
             if name.startswith("phi_") and name.endswith(".txt"):
                 try:
                     out.append(int(name[4:-4]))
@@ -132,21 +127,20 @@ def supported_levels() -> tuple[int, ...]:
                     continue
     except FileNotFoundError:
         pass
-    return tuple(sorted(out))
+    return _cache.publish(found, None, tuple(sorted(out)))
 
 
 def modular_polynomial(level: int) -> ModularPolynomial:
     """The vendored classical modular polynomial of the given prime level."""
-    key = (_data_dir(), level)
-    with _phi_lock:
-        cached = _phi_cache.get(key)
+    phis = _cache.store("phi")
+    cached = phis.get(level)
     if cached is not None:
         return cached
-    path = os.path.join(_data_dir(), f"phi_{level}.txt")
+    path = os.path.join(_cache.data_dir(), f"phi_{level}.txt")
     if not os.path.exists(path):
         raise UnsupportedLevel(
             f"no modular polynomial data for level {level}; add phi_{level}.txt "
-            f"to {_data_dir()} to extend the supported set {supported_levels()}"
+            f"to {_cache.data_dir()} to extend the supported set {supported_levels()}"
         )
     terms: dict[tuple[int, int], int] = {}
     with open(path) as fh:
@@ -156,25 +150,19 @@ def modular_polynomial(level: int) -> ModularPolynomial:
                 continue
             i_s, j_s, c_s = line.split()
             terms[(int(i_s), int(j_s))] = int(c_s)
-    phi = ModularPolynomial(level, terms)
-    with _phi_lock:
-        _phi_cache[key] = phi
-    return phi
+    return _cache.publish(phis, level, ModularPolynomial(level, terms))
 
 
 def phi_reduced(level: int, p: int) -> BiPoly:
     """Phi_level with coefficients reduced into F_p."""
-    key = (_data_dir(), level, p)
-    with _phi_lock:
-        cached = _phi_mod_cache.get(key)
+    phis_mod = _cache.store("phi_mod")
+    cached = phis_mod.get((level, p))
     if cached is not None:
         return cached
     phi = modular_polynomial(level)
     ctx = make_field(p, 1)
     reduced = BiPoly(ctx, {k: ctx.from_int(c) for k, c in phi.terms.items()})
-    with _phi_lock:
-        _phi_mod_cache[key] = reduced
-    return reduced
+    return _cache.publish(phis_mod, (level, p), reduced)
 
 
 def phi_at_j(level: int, j: FieldElement) -> UniPoly:
@@ -201,19 +189,15 @@ def isogenous_neighbors(j: FieldElement, level: int) -> list[tuple[FieldElement,
 # volcano navigation
 # ---------------------------------------------------------------------------
 
-_neighbor_cache: dict[tuple[int, int, int, int], tuple[int, tuple]] = {}
-
-
 def _neighbor_data(j: FieldElement, level: int) -> tuple[int, tuple]:
     """(multiplicity-counted rational root total, tuple of distinct roots)."""
     key = (j.ctx.p, j.ctx.k, j.encoding(), level)
-    cached = _neighbor_cache.get(key)
+    neighbors = _cache.store("neighbors")
+    cached = neighbors.get(key)
     if cached is not None:
         return cached
     total, roots = polyring.rational_roots(phi_at_j(level, j))
-    data = (total, tuple(roots))
-    _neighbor_cache[key] = data
-    return data
+    return _cache.publish(neighbors, key, (total, tuple(roots)))
 
 
 def _rational_neighbor_count(j: FieldElement, level: int) -> int:
@@ -270,27 +254,23 @@ def volcano_level(j: FieldElement, level: int) -> tuple[int, int]:
 # endomorphism discriminants (dual provider)
 # ---------------------------------------------------------------------------
 
-_disc_cache: dict[tuple[int, int, int], object] = {}
-
-
 def provider_a_disc(j: FieldElement) -> CMOrder:
     """Volcano-based endomorphism discriminant of an ordinary j."""
     j = ffield.minimal_field(j)
     key = (j.ctx.p, j.ctx.k, j.encoding())
-    cached = _disc_cache.get(key)
-    if cached is not None:
-        if isinstance(cached, tuple):
-            # a fresh instance per hit: re-raising a cached one would grow its traceback
-            exc_type, args = cached
-            raise exc_type(*args)
-        return cached
-    try:
-        order = _provider_a_uncached(j)
-    except (SupersingularInput, UnsupportedLevel) as exc:
-        _disc_cache[key] = (type(exc), exc.args)
-        raise
-    _disc_cache[key] = order
-    return order
+    discs = _cache.store("disc")
+    cached = discs.get(key)
+    if cached is None:
+        try:
+            cached = _cache.publish(discs, key, _provider_a_uncached(j))
+        except (SupersingularInput, UnsupportedLevel) as exc:
+            _cache.publish(discs, key, (type(exc), exc.args))
+            raise
+    if isinstance(cached, tuple):
+        # a fresh instance per hit: re-raising a cached one would grow its traceback
+        exc_type, args = cached
+        raise exc_type(*args)
+    return cached
 
 
 def _provider_a_uncached(j: FieldElement) -> CMOrder:
@@ -300,7 +280,7 @@ def _provider_a_uncached(j: FieldElement) -> CMOrder:
     d_K, f_pi = split_discriminant(fd.d_pi)
     if _is_exceptional(j):
         order = CMOrder(d_K, 1)
-        assert order.D == d_K
+        _require(order.D == d_K, "j = 0 and 1728 have maximal orders")
         return order
     levels = supported_levels()
     f_E = 1
@@ -310,7 +290,7 @@ def _provider_a_uncached(j: FieldElement) -> CMOrder:
                 f"Frobenius conductor has prime factor {prime} outside {levels}"
             )
         lam, depth = volcano_level(j, prime)
-        assert depth == mult
+        _require(depth == mult, "volcano depth must be the conductor valuation")
         f_E *= prime**lam
     return CMOrder(d_K, f_E)
 
@@ -445,9 +425,6 @@ def isogeny_path(
 SUPERSINGULAR = "supersingular"
 UNSUPPORTED = "unsupported"
 
-_disc_map_cache: dict[tuple[int, int], dict] = {}
-_disc_map_lock = threading.Lock()
-
 
 def ordinary_disc_map(ctx: FieldCtx) -> dict[int, object]:
     """encoding -> CMOrder | SUPERSINGULAR | UNSUPPORTED for every j in ctx.
@@ -456,9 +433,8 @@ def ordinary_disc_map(ctx: FieldCtx) -> dict[int, object]:
     and the exhaustive acceptance checks.  Frobenius conjugates share their
     discriminant, so each orbit is classified once.
     """
-    key = (ctx.p, ctx.k)
-    with _disc_map_lock:
-        cached = _disc_map_cache.get(key)
+    disc_maps = _cache.store("disc_map")
+    cached = disc_maps.get((ctx.p, ctx.k))
     if cached is not None:
         return cached
     out: dict[int, object] = {}
@@ -478,6 +454,4 @@ def ordinary_disc_map(ctx: FieldCtx) -> dict[int, object]:
             orbit = ffield.frobenius(orbit)
             if orbit == j:
                 break
-    with _disc_map_lock:
-        _disc_map_cache[key] = out
-    return out
+    return _cache.publish(disc_maps, (ctx.p, ctx.k), out)

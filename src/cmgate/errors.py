@@ -13,6 +13,12 @@ class InternalInvariant(CmgateError):
     """Internal sentinel: an invariant the algorithms rely on does not hold."""
 
 
+def _require(cond: bool, msg: str) -> None:
+    """Raise InternalInvariant unless cond holds (unlike assert, also under -O)."""
+    if not cond:
+        raise InternalInvariant(msg)
+
+
 # --- field construction / arithmetic ---------------------------------------
 
 class CompositeP(CmgateError):

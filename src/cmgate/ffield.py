@@ -36,6 +36,7 @@ import threading
 from math import gcd
 from typing import Iterator
 
+from . import _cache
 from .errors import (
     CharTooSmall,
     CompositeP,
@@ -44,15 +45,13 @@ from .errors import (
     NotASubfield,
     SizeExceeded,
     ZeroElement,
+    _require,
 )
 from ._numutil import factorize, is_prime
 
 #: the largest p^k for which a context is built or a field enumerated
 SIZE_BOUND = 1 << 26
 _TABLE_MAX = 1 << 16
-
-_ctx_cache: dict[tuple[int, int], "FieldCtx"] = {}
-_cache_lock = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +648,8 @@ def make_field(p: int, k: int) -> FieldCtx:
     A context is published only once fully built, tables included.
     """
     key = (p, k)
-    ctx = _ctx_cache.get(key)
+    contexts = _cache.store("ctx")
+    ctx = contexts.get(key)
     if ctx is not None:
         return ctx
     if p < 2 or not is_prime(p):
@@ -669,10 +669,9 @@ def make_field(p: int, k: int) -> FieldCtx:
             if _is_irreducible(cand, p):
                 modulus = tuple(cand)
                 break
-        assert modulus is not None
+        _require(modulus is not None, "every degree has an irreducible modulus")
     ctx = (_TableCtx if p**k <= _TABLE_MAX else FieldCtx)(p, k, modulus)
-    with _cache_lock:
-        return _ctx_cache.setdefault(key, ctx)
+    return _cache.publish(contexts, key, ctx)
 
 
 def frobenius(x: FieldElement) -> FieldElement:
@@ -839,7 +838,7 @@ def _embed_rows(src: FieldCtx, tgt: FieldCtx) -> tuple[tuple[int, ...], ...]:
             acc = acc * xi_s
         matrix = [[basis[j][i] for j in range(src.k)] for i in range(src.k)]
         g_coords = _solve_mod_p(matrix, list(src.gen().coeffs), p)
-        assert g_coords is not None
+        _require(g_coords is not None, "the generator must lie in the image basis")
         img_g = tgt.zero()
         acc = tgt.one()
         for a in g_coords:
@@ -853,7 +852,7 @@ def _embed_rows(src: FieldCtx, tgt: FieldCtx) -> tuple[tuple[int, ...], ...]:
             if c:
                 check = check + powg.scale(c)
             powg = powg * img_g
-        assert check.is_zero(), "embedding image does not satisfy the source modulus"
+        _require(check.is_zero(), "embedding image does not satisfy the source modulus")
         rows_l = []
         acc = tgt.one()
         for _ in range(src.k):

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from . import classpoly, ecurve, endoring, ffield, polyring
-from .errors import SizeExceeded, SupersingularInput, UnsupportedLevel
+from . import classpoly, ecurve, endoring, ffield, ordertools, polyring
+from .errors import SizeExceeded, SupersingularInput, UnsupportedLevel, _require
 from .ffield import FieldCtx, FieldElement, make_field
 from .polyring import BiPoly, UniPoly
 
@@ -171,9 +171,9 @@ def check_cm_hypothesis(
                 continue
             report.bump("cm_mismatch")
             # re-verify the witness through independent calls before emitting
-            assert polyring.eval_bi(C.f, x, y).is_zero()
-            assert endoring.provider_a_disc(x).D == dx.D
-            assert endoring.provider_a_disc(y).D == dy.D
+            _require(polyring.eval_bi(C.f, x, y).is_zero(), "witness: point off the curve")
+            _require(endoring.provider_a_disc(x).D == dx.D, "witness: disc_x differs")
+            _require(endoring.provider_a_disc(y).D == dy.D, "witness: disc_y differs")
             report.witnesses.append(
                 {"kind": "cm-mismatch", "k": k, "x": _elt(x), "y": _elt(y),
                  "disc_x": dx.D, "disc_y": dy.D}
@@ -295,7 +295,7 @@ def check_mult_hypothesis(
             if good:
                 report.bump("ok")
                 continue
-            assert polyring.eval_bi(C.f, x, y).is_zero()
+            _require(polyring.eval_bi(C.f, x, y).is_zero(), "witness: point off the curve")
             report.witnesses.append(
                 {"kind": "order-mismatch", "k": k, "x": _elt(x), "y": _elt(y),
                  "order_x": ox, "order_y": oy}
@@ -402,13 +402,15 @@ def modular_support_check(
             if not factor.divides(HofB):
                 culprit = factor
                 break
-        assert culprit is not None
+        _require(culprit is not None, "failed radical test without a culprit")
         q_root = _witness_root(culprit, witness_degree_max)
         witness = {"kind": "modular-support", "D": D,
                    "factor_degree": culprit.degree()}
         if q_root is not None:
-            assert classpoly.hilbert_eval(D, A.lift_to(q_root.ctx).evaluate(q_root)).is_zero()
-            assert not classpoly.hilbert_eval(D, B.lift_to(q_root.ctx).evaluate(q_root)).is_zero()
+            a_val = A.lift_to(q_root.ctx).evaluate(q_root)
+            b_val = B.lift_to(q_root.ctx).evaluate(q_root)
+            _require(classpoly.hilbert_eval(D, a_val).is_zero(), "witness: H_D(A(Q)) != 0")
+            _require(not classpoly.hilbert_eval(D, b_val).is_zero(), "witness: H_D(B(Q)) = 0")
             witness["Q"] = _elt(q_root)
         report.witnesses.append(witness)
     if nonsplit:
@@ -493,8 +495,8 @@ def mult_support_check(
         if q_root is not None:
             a_val = A.lift_to(q_root.ctx).evaluate(q_root)
             b_val = B.lift_to(q_root.ctx).evaluate(q_root)
-            assert (a_val**n) == q_root.ctx.one()
-            assert (b_val**n) != q_root.ctx.one()
+            _require((a_val**n) == q_root.ctx.one(), "witness: A(Q)^n != 1")
+            _require((b_val**n) != q_root.ctx.one(), "witness: B(Q)^n = 1")
             witness["Q"] = _elt(q_root)
         report.witnesses.append(witness)
     conclusion = _power_relation_scan(A, B, k_bound, m_bound)
@@ -540,8 +542,6 @@ def cyclo_support_check(
 ) -> GateReport:
     """Theorem-2.4(2) gate: radical divisibility of Psi_n(A) into Psi_n(B)
     for n coprime to p; conclusion matched as B = A^(p^m) or A = B^(p^m)."""
-    from . import ordertools
-
     A, B = pair.A, pair.B
     ctx = A.ctx
     report = GateReport(
@@ -568,7 +568,7 @@ def cyclo_support_check(
         q_root = _witness_root(culprit, 8)
         if q_root is not None:
             a_val = A.lift_to(q_root.ctx).evaluate(q_root)
-            assert ffield.multiplicative_order(a_val) == n
+            _require(ffield.multiplicative_order(a_val) == n, "witness: ord A(Q) != n")
             witness["Q"] = _elt(q_root)
         report.witnesses.append(witness)
     direction = _frobenius_power_relation(A, B)
@@ -684,13 +684,13 @@ def _append_witness(out: list, n: int, y: FieldElement):
     # substituted), so fall back to first principles
     order_y = ffield.multiplicative_order(y)
     order_x = ffield.multiplicative_order(x)
-    assert order_x == order_y, "Frobenius must preserve multiplicative orders"
+    _require(order_x == order_y, "Frobenius must preserve multiplicative orders")
     shared_cm = None
     status = "shared"
     try:
         dx = endoring.endo_discriminant(x, hilbert_check="auto")
         dy = endoring.endo_discriminant(y, hilbert_check="auto")
-        assert dx == dy, "Frobenius must preserve the CM order"
+        _require(dx == dy, "Frobenius must preserve the CM order")
         shared_cm = dx
     except SupersingularInput:
         status = "supersingular-skip"

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import EqualPrimes, IndexDivisibleByP
+from . import _cache
+from .errors import EqualPrimes, IndexDivisibleByP, _require
 from .ffield import FieldCtx
 from .polyring import UniPoly
 from ._numutil import factorize, is_prime
-
-_cyclo_cache: dict[int, list[int]] = {1: [-1, 1]}
 
 
 def _int_poly_divexact(num: list[int], den: list[int]) -> list[int]:
@@ -25,19 +24,20 @@ def _int_poly_divexact(num: list[int], den: list[int]) -> list[int]:
             num.pop()
         if len(num) < len(den):
             break
-        assert num[-1] % den[-1] == 0, "cyclotomic division must be exact"
+        _require(num[-1] % den[-1] == 0, "cyclotomic division must be exact")
         c = num[-1] // den[-1]
         shift = len(num) - len(den)
         out[shift] = c
         for i, d in enumerate(den):
             num[shift + i] -= c * d
-    assert not any(num), "cyclotomic division must leave no remainder"
+    _require(not any(num), "cyclotomic division must leave no remainder")
     return out
 
 
 def cyclotomic_int(n: int) -> list[int]:
     """Integer coefficients of the n-th cyclotomic polynomial."""
-    cached = _cyclo_cache.get(n)
+    cyclos = _cache.store("cyclo")
+    cached = cyclos.get(n)
     if cached is not None:
         return cached
     num = [0] * (n + 1)
@@ -52,9 +52,7 @@ def cyclotomic_int(n: int) -> list[int]:
                     for jj, b in enumerate(phi_d):
                         new[i + jj] += a * b
             den = new
-    out = _int_poly_divexact(num, den)
-    _cyclo_cache[n] = out
-    return out
+    return _cache.publish(cyclos, n, _int_poly_divexact(num, den))
 
 
 def cyclotomic_polynomial(n: int, ctx: FieldCtx) -> UniPoly:
@@ -139,11 +137,12 @@ def stabilization_threshold(ell: int, p: int, m_max: int) -> GaloisThresholdRepo
     # 2-adic tower may jump once at m = 1 before flattening out
     for m in range(1, m_max):
         ratio = degrees[m] // degrees[m - 1]
-        assert degrees[m] % degrees[m - 1] == 0 and ratio in (1, ell)
+        _require(degrees[m] % degrees[m - 1] == 0 and ratio in (1, ell),
+                 "each tower step must multiply the degree by 1 or ell")
         if m >= threshold:
-            assert ratio == ell, "tower must be stable past the threshold"
+            _require(ratio == ell, "tower must be stable past the threshold")
         if m == threshold - 1 and threshold > 1:
-            assert ratio == 1, "threshold must be minimal"
+            _require(ratio == 1, "threshold must be minimal")
     return GaloisThresholdReport(ell, p, threshold, degrees)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from cmgate import classpoly as cp
+from cmgate import clear_caches
 from cmgate import ecurve as ec
 from cmgate import endoring as er
 from cmgate import ffield as ff
@@ -163,9 +164,7 @@ class TestHilbertModP:
         # q = 19^3 = 6859 lies above SWEEP_MAX_Q and above NAIVE_THRESHOLD,
         # so every count the sampled collector makes must run BSGS, never
         # the O(q) character scan
-        for module, name in ((cp, "_hilbert_cache"), (ec, "_trace_cache"),
-                             (er, "_disc_cache"), (er, "_neighbor_cache")):
-            monkeypatch.setattr(module, name, {})
+        clear_caches()
         calls = []
         naive = ec._naive_count
         monkeypatch.setattr(ec, "_naive_count", lambda E: calls.append(E.ctx.q) or naive(E))
@@ -189,9 +188,7 @@ class TestTraceFilter:
 
     def test_sampled_collector_skips_counts(self, monkeypatch):
         # q = 103^2 is sampled; without the filter every candidate is counted
-        for module, name in ((cp, "_hilbert_cache"), (ec, "_trace_cache"),
-                             (er, "_disc_cache"), (er, "_neighbor_cache")):
-            monkeypatch.setattr(module, name, {})
+        clear_caches()
         calls = []
         count = ec.count_points
         monkeypatch.setattr(ec, "count_points", lambda E: calls.append(E.ctx.q) or count(E))

@@ -187,6 +187,27 @@ class TestCommands:
         assert code == cli.EXIT_SENTINEL and out == ""
         assert "internal sentinel" in capsys.readouterr().err
 
+    def test_failed_reverification_exits_sentinel_under_O(self):
+        # python -O strips assert statements; a gate's witness
+        # re-verification must still run there, and its failure exits 3
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        script = (
+            "import sys\n"
+            "from cmgate import cli, polyring\n"
+            "assert False, 'not running under -O'\n"
+            "polyring.eval_bi = lambda f, x, y: x.ctx.one()  # no point is on the curve\n"
+            "sys.exit(cli.run(['ao-gate', '--p', '5', '--curve', 'X + Y - 1', '--kmax', '4']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, env=env)
+        assert proc.returncode == 3, proc.stderr
+        assert b"InternalInvariant: witness: point off the curve" in proc.stderr
+
     def test_unknown_variable_is_usage_error(self):
         code, _ = run_cli("ao-gate", "--p", "5", "--curve", "X - W", "--kmax", "2")
         assert code == 2

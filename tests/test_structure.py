@@ -1,21 +1,26 @@
 """Cross-module structural invariants: the volcano regularity facts the
 floor detection relies on, crater neighbour counts, embedding coherence on
-deeper towers, the modular-data extension point, thread safety of the
-shared caches, and that the package defines nothing it does not use."""
+deeper towers, the modular-data extension point and the caches keyed by
+it, thread safety of the shared caches, that every cache lives in
+`_cache`, and that the package defines nothing it does not use."""
 
 import ast
 import os
 import pathlib
 import re
+import shutil
 import sys
 import threading
 
 import pytest
 
+from cmgate import _cache
 from cmgate import classpoly as cp
+from cmgate import clear_caches
 from cmgate import ecurve as ec
 from cmgate import endoring as er
 from cmgate import ffield as ff
+from cmgate.errors import UnsupportedLevel
 
 
 class TestVolcanoRegularity:
@@ -146,15 +151,55 @@ class TestEmbeddingTowers:
 
 
 class TestDataDirOverride:
+    PHI_2 = os.path.join(os.path.dirname(er.__file__), "data", "phi_2.txt")
+
+    def phi_2_dir(self, path):
+        """A data dir holding only the level-2 modular polynomial."""
+        path.mkdir(exist_ok=True)
+        shutil.copy(self.PHI_2, path)
+        return str(path)
+
     def test_env_var_extends_levels(self, tmp_path, monkeypatch):
-        src = os.path.join(os.path.dirname(er.__file__), "data", "phi_2.txt")
-        with open(src) as fh:
-            body = fh.read()
-        (tmp_path / "phi_2.txt").write_text(body)
-        monkeypatch.setenv("CMGATE_DATA_DIR", str(tmp_path))
+        monkeypatch.setenv("CMGATE_DATA_DIR", self.phi_2_dir(tmp_path))
         assert er.supported_levels() == (2,)
         monkeypatch.delenv("CMGATE_DATA_DIR")
         assert er.supported_levels() == (2, 3, 5, 7, 11, 13)
+
+    def test_results_follow_the_data_dir(self, tmp_path, monkeypatch):
+        # no cache may serve a verdict computed under another data dir, in
+        # either direction, and no manual clearing is needed for that
+        F169 = ff.make_field(13, 2)
+        phi_2_only = self.phi_2_dir(tmp_path)
+
+        def unsupported():
+            disc_map = er.ordinary_disc_map(ff.make_field(13, 2))
+            return sum(v is er.UNSUPPORTED for v in disc_map.values())
+
+        for _ in range(2):
+            monkeypatch.setenv("CMGATE_DATA_DIR", phi_2_only)
+            assert unsupported() == 51
+            with pytest.raises(UnsupportedLevel):
+                cp.hilbert_mod_p(-27, 31)  # conductor 3 needs phi_3
+            monkeypatch.delenv("CMGATE_DATA_DIR")
+            assert unsupported() == 0
+            assert cp.hilbert_mod_p(-27, 31).poly.degree() == 1
+        assert ff.make_field(13, 2) is F169
+        clear_caches()
+        # contexts are interned: ContextMismatch compares them by identity
+        assert ff.make_field(13, 2) is F169
+
+    def test_each_data_dir_listed_once(self, tmp_path, monkeypatch):
+        dirs = [self.phi_2_dir(tmp_path / name) for name in ("a", "b")]
+        listed = []
+        listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: listed.append(path) or listdir(path))
+        for _ in range(3):
+            for path in dirs:
+                monkeypatch.setenv("CMGATE_DATA_DIR", path)
+                assert er.supported_levels() == (2,)
+        # a sweep reads the levels once per classified j
+        er.ordinary_disc_map(ff.make_field(11, 2))
+        assert listed == dirs
 
 
 class TestThreadSafety:
@@ -181,7 +226,7 @@ class TestThreadSafety:
 
     def test_make_field_publishes_one_complete_context(self, monkeypatch):
         # racing first calls must all get the same context, tables built
-        monkeypatch.setattr(ff, "_ctx_cache", {})
+        monkeypatch.setitem(_cache._stores, "ctx", {})
         seen, errors = [], []
 
         def worker():
@@ -252,3 +297,72 @@ class TestNoDeadDefinitions:
                 ):
                     unused.append(qualname)
         assert sorted(unused) == sorted(self.TEST_REFERENCE_APIS)
+
+
+class TestOneCacheModule:
+    PACKAGE = pathlib.Path(ff.__file__).parent
+    MUTATORS = {"setdefault", "update", "pop", "popitem", "clear"}
+
+    @staticmethod
+    def module_bindings(tree):
+        """(name, value) of each module-level assignment."""
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, value
+
+    @staticmethod
+    def called(value) -> str | None:
+        if isinstance(value, ast.Call):
+            func = value.func
+            return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return None
+
+    def written(self, trees, name) -> bool:
+        """Whether any module stores into `name` (or `module.name`)."""
+
+        def is_name(node):
+            return (isinstance(node, ast.Name) and node.id == name) or (
+                isinstance(node, ast.Attribute) and node.attr == name)
+
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    if is_name(node.value):
+                        return True
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in self.MUTATORS and is_name(node.func.value)):
+                    return True
+        return False
+
+    def test_caches_live_only_in_the_cache_module(self):
+        # a module-level lock, a dict that starts empty or is written into,
+        # or a memoising decorator is a cache; `_cache` is its one home
+        trees = {
+            path.name: ast.parse(path.read_text())
+            for path in sorted(self.PACKAGE.glob("*.py"))
+        }
+        found = []
+        for filename, tree in trees.items():
+            if filename == "_cache.py":
+                continue
+            for name, value in self.module_bindings(tree):
+                if self.called(value) in ("Lock", "RLock"):
+                    found.append(f"{filename}:{name}")
+                elif isinstance(value, (ast.Dict, ast.DictComp)) or self.called(value) == "dict":
+                    empty = isinstance(value, ast.Dict) and not value.keys
+                    if empty or self.written(trees.values(), name):
+                        found.append(f"{filename}:{name}")
+            for node in tree.body:
+                for deco in getattr(node, "decorator_list", ()):
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    if getattr(target, "attr", getattr(target, "id", None)) in (
+                            "cache", "lru_cache"):
+                        found.append(f"{filename}:{node.name}")
+        assert found == []
