@@ -589,17 +589,24 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (ProviderDisagreement, InternalInvariant, AssertionError) as exc:
-        print(f"internal sentinel: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SENTINEL
+        return _fail(args, exc, EXIT_SENTINEL,
+                     f"internal sentinel: {type(exc).__name__}: {exc}")
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(args, exc, EXIT_USAGE, f"parse error: {exc}")
     except CmgateError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(args, exc, EXIT_USAGE, f"error: {type(exc).__name__}: {exc}")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(args, exc, EXIT_USAGE, f"error: {exc}")
+
+
+def _fail(args, exc: Exception, code: int, line: str) -> int:
+    """Report a failed command: the line on stderr and, in JSON mode, the
+    fixed-schema document with verdict "error" on stdout."""
+    if args.format == "json":
+        result = {"error": type(exc).__name__, "message": str(exc)}
+        _emit(args, _payload(args, args.command, "error", result), [])
+    print(line, file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -8,6 +8,11 @@ deterministically sampled points on the curve and its quadratic twist are
 intersected until a single group order survives in the interval.
 trace_filter is the cheap one-point test that rules traces out without a
 count.
+
+The group law behind BSGS and the filter runs on int pairs: residues mod p
+in every prime field, discrete logs with Zech additions in F_{p^k}, k >= 2,
+with log tables (q <= 2^16).  Only larger extension fields add points as
+element pairs.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from __future__ import annotations
 from math import isqrt
 
 from . import _cache, ffield
-from .errors import SizeExceeded, _require
-from .ffield import FieldCtx, FieldElement, embed
+from .errors import InternalInvariant, SizeExceeded, _require
+from .ffield import FieldCtx, FieldElement, embed, zech_add
 from ._numutil import crc_rng, factorize
 
 #: the character scan counts fields up to this size, BSGS the larger ones;
@@ -97,42 +102,160 @@ def curve_from_j(j: FieldElement) -> EllipticCurve:
 
 
 # ---------------------------------------------------------------------------
-# group arithmetic (affine, infinity = None)
+# group arithmetic: affine points, infinity = None, one law per representation
 # ---------------------------------------------------------------------------
 
-def _ec_add(P, Q, a: FieldElement):
-    if P is None:
-        return Q
-    if Q is None:
+class _ResidueLaw:
+    """The group law over F_p on pairs of residues."""
+
+    __slots__ = ("p", "a")
+
+    def __init__(self, E: EllipticCurve):
+        self.p = E.ctx.p
+        self.a = E.a.encoding()
+
+    def point(self, x: FieldElement, y: FieldElement) -> tuple[int, int]:
+        return (x.encoding(), y.encoding())
+
+    def key(self, P):
         return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2).is_zero():
-            return None
-        lam = (x1 * x1).scale(3) + a
-        lam = lam / (y1 + y1)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    return (x3, lam * (x1 - x3) - y1)
+
+    def neg(self, P):
+        return None if P is None else (P[0], -P[1] % self.p)
+
+    def add(self, P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        p = self.p
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                return None
+            lam = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        return (x3, (lam * (x1 - x3) - y1) % p)
 
 
-def _ec_neg(P):
-    if P is None:
-        return None
-    return (P[0], -P[1])
+class _LogLaw:
+    """The group law over F_{p^k}, k >= 2 with log tables, on pairs of
+    discrete logs (-1 for 0): products add logs, sums are Zech lookups and
+    -g^u = g^(u + half)."""
 
-def _ec_mul(n: int, P, a: FieldElement):
+    __slots__ = ("log", "zech", "qm1", "half", "a", "log2", "log3")
+
+    def __init__(self, E: EllipticCurve):
+        ctx = E.ctx
+        self.log, self.zech, self.qm1, self.half = ctx.log, ctx.zech, ctx.qm1, ctx.half
+        self.a = self._log(E.a)
+        self.log2, self.log3 = ctx.log[2], ctx.log[3]
+
+    def _log(self, x: FieldElement) -> int:
+        return self.log[x.n] if x.n else -1
+
+    def point(self, x: FieldElement, y: FieldElement) -> tuple[int, int]:
+        return (self._log(x), self._log(y))
+
+    def key(self, P):
+        return P
+
+    def neg(self, P):
+        if P is None or P[1] < 0:
+            return P
+        return (P[0], (P[1] + self.half) % self.qm1)
+
+    def add(self, P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        zech, qm1, half = self.zech, self.qm1, self.half
+        x1, y1 = P
+        x2, y2 = Q
+        # logs of -x1, -x2, -y1
+        nx1 = (x1 + half) % qm1 if x1 >= 0 else -1
+        nx2 = (x2 + half) % qm1 if x2 >= 0 else -1
+        ny1 = (y1 + half) % qm1 if y1 >= 0 else -1
+        if x1 == x2:
+            if y2 == ny1:
+                return None  # Q = -P
+            # (3 x1^2 + a) / (2 y1)
+            num = self.a if x1 < 0 else zech_add(zech, qm1, self.log3 + 2 * x1, self.a)
+            den = self.log2 + y1
+        else:
+            # (y2 - y1) / (x2 - x1)
+            num = zech_add(zech, qm1, y2, ny1)
+            den = zech_add(zech, qm1, x2, nx1)
+        lam = (num - den) % qm1 if num >= 0 else -1
+        # x3 = lam^2 - x1 - x2, y3 = lam (x1 - x3) - y1
+        x3 = zech_add(zech, qm1, zech_add(zech, qm1, 2 * lam % qm1 if lam >= 0 else -1, nx1), nx2)
+        d = zech_add(zech, qm1, x1, (x3 + half) % qm1 if x3 >= 0 else -1)
+        t = (lam + d) % qm1 if lam >= 0 and d >= 0 else -1
+        return (x3, zech_add(zech, qm1, t, ny1))
+
+
+class _ObjectLaw:
+    """The group law over F_{p^k}, k >= 2 above the table cut, on element
+    pairs; baby steps are keyed by the coordinates' coefficient tuples."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, E: EllipticCurve):
+        self.a = E.a
+
+    def point(self, x: FieldElement, y: FieldElement) -> tuple:
+        return (x, y)
+
+    def key(self, P):
+        return P if P is None else (P[0].coeffs, P[1].coeffs)
+
+    def neg(self, P):
+        return None if P is None else (P[0], -P[1])
+
+    def add(self, P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if (y1 + y2).is_zero():
+                return None
+            lam = (x1 * x1).scale(3) + self.a
+            lam = lam / (y1 + y1)
+        else:
+            lam = (y2 - y1) / (x2 - x1)
+        x3 = lam * lam - x1 - x2
+        return (x3, lam * (x1 - x3) - y1)
+
+
+def _group_law(E: EllipticCurve):
+    """Residues for every prime field, discrete logs for k >= 2 with log
+    tables, element objects otherwise."""
+    ctx = E.ctx
+    if ctx.k == 1:
+        return _ResidueLaw(E)
+    if ctx.log is not None:
+        return _LogLaw(E)
+    return _ObjectLaw(E)
+
+
+def _ec_mul(n: int, P, law):
     if n < 0:
-        return _ec_mul(-n, _ec_neg(P), a)
+        return _ec_mul(-n, law.neg(P), law)
     R = None
     Q = P
     while n:
         if n & 1:
-            R = _ec_add(R, Q, a)
-        Q = _ec_add(Q, Q, a)
+            R = law.add(R, Q)
         n >>= 1
+        if n:
+            Q = law.add(Q, Q)
     return R
 
 
@@ -142,7 +265,7 @@ def _nonsquare(ctx: FieldCtx) -> FieldElement:
         for enc in range(2, ctx.q):
             if log[enc] & 1:
                 return ctx.from_encoding(enc)
-        raise AssertionError("no nonsquare found")
+        raise InternalInvariant("no nonsquare found")
     exp = (ctx.q - 1) // 2
     rng = crc_rng("nonsquare", ctx.p, ctx.k)
     while True:
@@ -255,39 +378,33 @@ def _log_character_sum(ctx: FieldCtx, a: int, b: int) -> int:
     return total
 
 
-def _point_order(P, a, lo: int, hi: int) -> int:
+def _point_order(P, law, lo: int, hi: int) -> int:
     """Exact order of P, via one annihilator in [lo, hi] plus reduction."""
     width = hi - lo
     m = isqrt(width) + 1
-    # key points by the coordinates' stored values, not by encoding()
-    if a.ctx.log is not None:
-        def key(R):
-            return R if R is None else (R[0].n, R[1].n)
-    else:
-        def key(R):
-            return R if R is None else (R[0].coeffs, R[1].coeffs)
+    key = law.key
     baby = {}
     Q = None
     for j in range(m):
         baby.setdefault(key(Q), j)
-        Q = _ec_add(Q, P, a)
-    mP = _ec_mul(m, P, a)
+        Q = law.add(Q, P)
+    mP = _ec_mul(m, P, law)
     annihilator = None
-    R = _ec_mul(lo, P, a)
+    R = _ec_mul(lo, P, law)
     i = 0
     while lo + i * m <= hi:
-        j = baby.get(key(_ec_neg(R)))
+        j = baby.get(key(law.neg(R)))
         if j is not None and lo + i * m + j <= hi:
             annihilator = lo + i * m + j
             break
-        R = _ec_add(R, mP, a)
+        R = law.add(R, mP)
         i += 1
     _require(annihilator is not None, "group order must annihilate every point")
     if annihilator == 0:
         return 1
     d = annihilator
     for prime in factorize(annihilator):
-        while d % prime == 0 and _ec_mul(d // prime, P, a) is None:
+        while d % prime == 0 and _ec_mul(d // prime, P, law) is None:
             d //= prime
     return d
 
@@ -319,8 +436,8 @@ def _bsgs_count(E: EllipticCurve) -> int:
     for round_no in range(64):
         use_twist = round_no % 2 == 1
         curve = twist if use_twist else E
-        P = _random_point(curve, rng)
-        d = _point_order(P, curve.a, lo, hi)
+        law = _group_law(curve)
+        d = _point_order(law.point(*_random_point(curve, rng)), law, lo, hi)
         hits = _multiples_in_interval(d, lo, hi)
         if use_twist:
             hits = [2 * q + 2 - n for n in hits]
@@ -329,8 +446,8 @@ def _bsgs_count(E: EllipticCurve) -> int:
         if len(candidates) == 1:
             return candidates.pop()
         if not candidates:
-            raise AssertionError("point-count candidate set became empty")
-    raise AssertionError(f"group order not unique after sampling (q={q})")
+            raise InternalInvariant("point-count candidate set became empty")
+    raise InternalInvariant(f"group order not unique after sampling (q={q})")
 
 
 def frobenius_data(E: EllipticCurve) -> FrobeniusData:
@@ -362,11 +479,11 @@ def trace_filter(E: EllipticCurve, traces, rng) -> bool:
     Sutherland, "Computing Hilbert class polynomials with the Chinese
     Remainder Theorem", Math. Comp. 80 (2011)).
     """
-    a = E.a
-    P = _random_point(E, rng)
-    R = _ec_mul(E.ctx.q + 1, P, a)
+    law = _group_law(E)
+    P = law.point(*_random_point(E, rng))
+    R = _ec_mul(E.ctx.q + 1, P, law)
     for t in traces:
-        S = _ec_mul(t, P, a)
+        S = _ec_mul(t, P, law)
         if R is None or S is None:
             if R is S:
                 return True

@@ -6,11 +6,14 @@ l-isogeny volcanoes below the Frobenius conductor (non-backtracking BFS to
 the floor; a vertex strictly above the floor has all l+1 neighbours
 rational, the floor has exactly one, and j = 0 / 1728 are always on the
 crater since their endomorphism rings are maximal).  A walk reads the
-rational neighbours of j from polyring.rational_roots on Phi_l(j, T): the
+rational neighbours of j from polyring's rational roots of Phi_l(j, T): the
 squarefree parts' gcds with T^q - T give the count with multiplicity, and
-only those products of linear factors are split.  Provider B locates j
-among the roots of the class polynomial built independently in classpoly;
-disagreement aborts with ProviderDisagreement, never a guess.
+only those products of linear factors are split.  Phi_l(j, T) is a Horner
+evaluation in j of a table of Phi_l mod p, cached per (l, p, k) in the
+polyring kernel of j's field, and stays a kernel list through the root
+finding.  Provider B locates j among the roots of the class polynomial
+built independently in classpoly; disagreement aborts with
+ProviderDisagreement, never a guess.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 
 from . import _cache, ecurve, ffield, polyring
 from .errors import (
+    InternalInvariant,
     ProviderDisagreement,
     SizeExceeded,
     SupersingularInput,
@@ -26,7 +30,7 @@ from .errors import (
     _require,
 )
 from .ffield import FieldCtx, FieldElement, make_field
-from .polyring import BiPoly, UniPoly
+from .polyring import UniPoly
 from ._numutil import factorize
 
 #: provider B runs automatically when the class-polynomial root field has
@@ -153,24 +157,34 @@ def modular_polynomial(level: int) -> ModularPolynomial:
     return _cache.publish(phis, level, ModularPolynomial(level, terms))
 
 
-def phi_reduced(level: int, p: int) -> BiPoly:
-    """Phi_level with coefficients reduced into F_p."""
-    phis_mod = _cache.store("phi_mod")
-    cached = phis_mod.get((level, p))
-    if cached is not None:
-        return cached
-    phi = modular_polynomial(level)
-    ctx = make_field(p, 1)
-    reduced = BiPoly(ctx, {k: ctx.from_int(c) for k, c in phi.terms.items()})
-    return _cache.publish(phis_mod, (level, p), reduced)
+def _phi_rows(level: int, K) -> tuple:
+    """Phi_level mod p in the kernel K of F_{p^k}: row i holds the
+    coefficients of T^i as a polynomial in j, one table per (level, p, k)."""
+    ctx = K.ctx
+    key = (level, ctx.p, ctx.k)
+    tables = _cache.store("phi_mod")
+    rows = tables.get(key)
+    if rows is not None:
+        return rows
+    deg = level + 1
+    ints = [[0] * (deg + 1) for _ in range(deg + 1)]
+    for (i, t), c in modular_polynomial(level).terms.items():
+        ints[t][i] = c
+    rows = tuple(tuple(K.scalar(ctx.from_int(c)) for c in row) for row in ints)
+    return _cache.publish(tables, key, rows)
+
+
+def _phi_at(level: int, j: FieldElement, K) -> list:
+    """Phi_level(j, T) as a kernel list, by Horner in j on the cached table."""
+    if level == j.ctx.p:
+        raise UnsupportedLevel("level equal to the characteristic")
+    return K.evaluate_rows(_phi_rows(level, K), K.scalar(j))
 
 
 def phi_at_j(level: int, j: FieldElement) -> UniPoly:
     """Phi_level(j, T) as a univariate polynomial over j's context."""
-    p = j.ctx.p
-    if level == p:
-        raise UnsupportedLevel("level equal to the characteristic")
-    return phi_reduced(level, p).substitute_x(j)
+    K = polyring.kernel(j.ctx)
+    return K.to_poly(_phi_at(level, j, K))
 
 
 def isogenous_neighbors(j: FieldElement, level: int) -> list[tuple[FieldElement, int]]:
@@ -196,7 +210,8 @@ def _neighbor_data(j: FieldElement, level: int) -> tuple[int, tuple]:
     cached = neighbors.get(key)
     if cached is not None:
         return cached
-    total, roots = polyring.rational_roots(phi_at_j(level, j))
+    K = polyring.kernel(j.ctx)
+    total, roots = polyring.kernel_rational_roots(K, _phi_at(level, j, K))
     return _cache.publish(neighbors, key, (total, tuple(roots)))
 
 
@@ -247,7 +262,7 @@ def volcano_level(j: FieldElement, level: int) -> tuple[int, int]:
                     nxt.append(w)
         frontier = nxt
         dist += 1
-    raise AssertionError("volcano walk exceeded its depth bound")
+    raise InternalInvariant("volcano walk exceeded its depth bound")
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .errors import (
     CompositeP,
     ContextMismatch,
     DivisionByZero,
+    InternalInvariant,
     NotASubfield,
     SizeExceeded,
     ZeroElement,
@@ -88,29 +89,34 @@ def _ip_sub(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _ip_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of a by a nonzero b; entries of a lie in [0, p)."""
-    a = _ip_trim(a[:])
+    """(quotient, remainder) of a by a trimmed nonzero b; entries of a lie in
+    [0, p).  The remainder's entries are reduced once, at the end."""
+    r = a[:]
     db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) > db:
-        c = a[-1] * inv % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _ip_trim(a)
-    return _ip_trim(q), a
+    if len(r) <= db:
+        return [], _ip_trim(r)
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    q = [0] * (len(r) - db)
+    for shift in range(len(r) - 1 - db, -1, -1):
+        c = r.pop() * inv % p  # the top entry, cancelled by c * b
+        if c:
+            q[shift] = c
+            for i, bi in enumerate(low, shift):
+                r[i] -= c * bi
+    return _ip_trim(q), _ip_trim([c % p for c in r])
 
 
 def _ip_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
+    """a^e mod m, left to right, so that a small base (T in x^q) costs little."""
+    if not e:
+        return [1]
     base = _ip_divmod(a, m, p)[1]
-    while e:
-        if e & 1:
+    result = base
+    for bit in bin(e)[3:]:
+        result = _ip_divmod(_ip_mul(result, result, p), m, p)[1]
+        if bit == "1":
             result = _ip_divmod(_ip_mul(result, base, p), m, p)[1]
-        base = _ip_divmod(_ip_mul(base, base, p), m, p)[1]
-        e >>= 1
     return result
 
 
@@ -160,6 +166,17 @@ def _decode(n: int, p: int, k: int) -> tuple[int, ...]:
         n, r = divmod(n, p)
         v.append(r)
     return tuple(v)
+
+
+def zech_add(zech: list[int], qm1: int, u: int, v: int) -> int:
+    """log(g^u + g^v) through the Zech table of a field with q - 1 = qm1;
+    -1 stands for the log of 0."""
+    if u < 0:
+        return v
+    if v < 0:
+        return u
+    z = zech[(v - u) % qm1]
+    return (u + z) % qm1 if z >= 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +360,7 @@ class _TableCtx(FieldCtx):
             if all(self._pow_coeffs(g, e) != one for e in cofactors):
                 break
         else:
-            raise AssertionError(f"no primitive element in {self!r}")
+            raise InternalInvariant(f"no primitive element in {self!r}")
         exp = [0] * (2 * qm1)
         log = [0] * q
         acc = one
@@ -750,7 +767,7 @@ def _minpoly_coeffs(x: FieldElement) -> tuple[int, ...]:
     out = []
     for a in poly:
         if any(a.coeffs[1:]):
-            raise AssertionError("minimal polynomial coefficient left the prime field")
+            raise InternalInvariant("minimal polynomial coefficient left the prime field")
         out.append(a.coeffs[0])
     return tuple(out)
 
@@ -780,7 +797,7 @@ def distinguished_generator(ctx: FieldCtx) -> FieldElement:
         ):
             break
     else:
-        raise AssertionError(f"no compatible generator for {ctx!r}")
+        raise InternalInvariant(f"no compatible generator for {ctx!r}")
     with ctx._lock:
         if ctx._dist_gen is None:
             ctx._dist_gen = x
@@ -890,7 +907,7 @@ def element_degree(x: FieldElement) -> int:
             y = frobenius(y)
         if y == x:
             return d
-    raise AssertionError("unreachable: Frobenius orbit must close")
+    raise InternalInvariant("unreachable: Frobenius orbit must close")
 
 
 def descend(x: FieldElement, target: FieldCtx) -> FieldElement:

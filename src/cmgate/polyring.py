@@ -9,9 +9,14 @@ every run factors identically.
 Callers that need only the roots in the base field (volcano walks) take
 rational_roots: per squarefree part, one gcd with T^q - T and the
 equal-degree split of that product of linear factors, with no factorization
-of the rest.  UniPoly.pow_mod, the hot loop of both, runs on int lists in
-fields with log tables (q <= 2^16): residues mod p through ffield's F_p
-kernels when k = 1, discrete logs with Zech additions when k >= 2.
+of the rest.
+
+Factoring and root finding run in a kernel: F_q[T] on plain lists, picked
+by the context (see kernel).  Every prime field computes on residues mod p
+through ffield's table-free F_p kernels; F_{p^k} with k >= 2 and log tables
+(q <= 2^16) on discrete logs with Zech additions; larger extension fields
+on element objects with UniPoly's arithmetic.  A polynomial is converted
+once on entry and once on exit.
 
 Bivariate factorization is deliberately not implemented; the only decision
 offered is is_absolutely_irreducible, which combines exact pattern rules
@@ -32,7 +37,7 @@ from .errors import (
     UnsupportedCurveDegree,
     ZeroPolynomial,
 )
-from .ffield import FieldCtx, FieldElement, embed, make_field
+from .ffield import FieldCtx, FieldElement, embed, make_field, zech_add
 from ._numutil import crc_rng
 
 
@@ -189,33 +194,6 @@ class UniPoly:
             ctx, [self.coeffs[i].scale(i) for i in range(1, len(self.coeffs))]
         )
 
-    def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
-        """self^e mod modulus (e >= 0) by square-and-multiply.
-
-        With log tables (q <= _TABLE_MAX) the loop runs on int lists: on
-        residues through ffield's F_p kernels when k = 1, on discrete logs
-        when k >= 2.  Larger fields multiply element objects.
-        """
-        ctx = self.ctx
-        if ctx.log is not None:
-            self._check(modulus)
-            if modulus.is_zero():
-                raise ZeroPolynomial("division by the zero polynomial")
-            if ctx.k == 1:
-                ints = ffield._ip_powmod(
-                    [c.n for c in self.coeffs], e, [c.n for c in modulus.coeffs], ctx.p
-                )
-                return UniPoly(ctx, [ctx._elem(ctx, c) for c in ints])
-            return _log_pow_mod(self, e, modulus)
-        result = UniPoly.one(ctx)
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
-
     def evaluate(self, x: FieldElement) -> FieldElement:
         acc = x.ctx.zero()
         for c in reversed(self.coeffs):
@@ -259,23 +237,145 @@ class UniPoly:
         return "UniPoly(" + " + ".join(parts) + ")"
 
 
-def _log_pow_mod(f: UniPoly, e: int, modulus: UniPoly) -> UniPoly:
-    """pow_mod for k >= 2 with tables: coefficients are discrete logs, -1 for 0.
+# ---------------------------------------------------------------------------
+# kernels: F_q[T] on plain lists, one representation per kind of context
+# ---------------------------------------------------------------------------
+#
+# A kernel polynomial is a list of the kernel's scalars, constant term first,
+# with no trailing zero scalar, so that len(a) - 1 is its degree.  to_list and
+# to_poly convert from and to UniPoly; the algorithms below (squarefree parts,
+# distinct-degree and equal-degree splits, rational roots) are written once
+# against the kernel methods and convert only on entry and exit.
 
-    A product adds logs; a sum g^c + g^u = g^(c + Z[u - c]) is one Zech
-    lookup, and subtracting g^u adds g^(u + half).
+def _trim(a: list, zero) -> list:
+    while a and a[-1] == zero:
+        a.pop()
+    return a
+
+
+class _Residues:
+    """F_p[T] for every prime field: a scalar is the residue in [0, p).
+
+    Division, gcd and powers are ffield's table-free F_p kernels.
     """
-    ctx = f.ctx
-    log, zech, qm1 = ctx.log, ctx.zech, ctx.qm1
-    m = [log[c.n] if c.n else -1 for c in modulus.coeffs]
-    dm = len(m) - 1
-    # log of -m_i / lead for each nonzero m_i below the top
-    lead = m[-1] - ctx.half
-    neg = [(i, (li - lead) % qm1) for i, li in enumerate(m[:-1]) if li >= 0]
 
-    def mulmod(a: list[int], b: list[int]) -> list[int]:
+    __slots__ = ("ctx", "p")
+    zero, one = 0, 1
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        self.p = ctx.p
+
+    def scalar(self, x: FieldElement) -> int:
+        return x.encoding()
+
+    def elem(self, c: int) -> FieldElement:
+        return self.ctx.from_int(c)
+
+    def encoding(self, c: int) -> int:
+        return c
+
+    def from_encoding(self, n: int) -> int:
+        return n
+
+    def neg(self, c: int) -> int:
+        return -c % self.p
+
+    def to_list(self, f: UniPoly) -> list[int]:
+        return [c.encoding() for c in f.coeffs]
+
+    def to_poly(self, a: list[int]) -> UniPoly:
+        from_int = self.ctx.from_int
+        return UniPoly(self.ctx, [from_int(c) for c in a])
+
+    def sub(self, a: list[int], b: list[int]) -> list[int]:
+        return ffield._ip_sub(a, b, self.p)
+
+    def divmod(self, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+        return ffield._ip_divmod(a, b, self.p)
+
+    def gcd(self, a: list[int], b: list[int]) -> list[int]:
+        return ffield._ip_gcd(a, b, self.p)
+
+    def powmod(self, a: list[int], e: int, m: list[int]) -> list[int]:
+        return ffield._ip_powmod(a, e, m, self.p)
+
+    def monic(self, a: list[int]) -> list[int]:
+        p = self.p
+        inv = pow(a[-1], -1, p)
+        return [c * inv % p for c in a]
+
+    def derivative(self, a: list[int]) -> list[int]:
+        p = self.p
+        return _trim([i * c % p for i, c in enumerate(a)][1:], 0)
+
+    def pth_root(self, a: list[int]) -> list[int]:
+        return a[:: self.p]
+
+    def evaluate_rows(self, rows, x: int) -> list[int]:
+        """[row(x) for row in rows], each row a coefficient list."""
+        p = self.p
+        out = []
+        for row in rows:
+            acc = 0
+            for c in reversed(row):
+                acc = (acc * x + c) % p
+            out.append(acc)
+        return _trim(out, 0)
+
+
+class _Logs:
+    """F_q[T] for k >= 2 with log tables: a scalar is its discrete log, -1 for 0.
+
+    A product adds logs; g^c + g^u = g^(c + Z[u - c]) is one Zech lookup,
+    and -g^u = g^(u + half).
+    """
+
+    __slots__ = ("ctx", "p", "exp", "log", "zech", "qm1", "half")
+    zero, one = -1, 0
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        self.p = ctx.p
+        self.exp, self.log, self.zech = ctx.exp, ctx.log, ctx.zech
+        self.qm1, self.half = ctx.qm1, ctx.half
+
+    def scalar(self, x: FieldElement) -> int:
+        n = x.n
+        return self.log[n] if n else -1
+
+    def elem(self, c: int) -> FieldElement:
+        ctx = self.ctx
+        return ctx._elem(ctx, self.exp[c]) if c >= 0 else ctx.zero()
+
+    def encoding(self, c: int) -> int:
+        return self.exp[c] if c >= 0 else 0
+
+    def from_encoding(self, n: int) -> int:
+        return self.log[n] if n else -1
+
+    def neg(self, c: int) -> int:
+        return (c + self.half) % self.qm1 if c >= 0 else -1
+
+    def to_list(self, f: UniPoly) -> list[int]:
+        log = self.log
+        return [log[c.n] if c.n else -1 for c in f.coeffs]
+
+    def to_poly(self, a: list[int]) -> UniPoly:
+        return UniPoly(self.ctx, [self.elem(c) for c in a])
+
+    def sub(self, a: list[int], b: list[int]) -> list[int]:
+        zech, qm1, half = self.zech, self.qm1, self.half
+        out = a + [-1] * (len(b) - len(a))
+        for j, u in enumerate(b):
+            if u >= 0:
+                out[j] = zech_add(zech, qm1, out[j], (u + half) % qm1)
+        return _trim(out, -1)
+
+    def _mul(self, a: list[int], b: list[int]) -> list[int]:
         if not a or not b:
             return []
+        zech, qm1 = self.zech, self.qm1
         r = [-1] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai < 0:
@@ -289,14 +389,28 @@ def _log_pow_mod(f: UniPoly, e: int, modulus: UniPoly) -> UniPoly:
                 else:
                     z = zech[(ai + bj - c) % qm1]
                     r[j] = (c + z) % qm1 if z >= 0 else -1
-        # reduce: cancel the top term against modulus, from the top down
+        return _trim(r, -1)
+
+    def _reducer(self, b: list[int]) -> tuple:
+        """(deg b, log of its lead, [(i, log of -b_i / lead)] for the
+        nonzero b_i below the top): what reducing modulo a nonzero b needs."""
+        lb, qm1 = b[-1], self.qm1
+        neg = [(i, (bi + self.half - lb) % qm1) for i, bi in enumerate(b[:-1]) if bi >= 0]
+        return len(b) - 1, lb, neg
+
+    def _reduce(self, r: list[int], reducer: tuple) -> list[int]:
+        """Reduce r in place, top term first; the quotient."""
+        zech, qm1 = self.zech, self.qm1
+        db, lb, neg = reducer
+        quo = [-1] * max(0, len(r) - db)
         top = len(r) - 1
-        while top >= dm:
+        while top >= db:
             t = r.pop()
-            shift = top - dm
+            shift = top - db
             top -= 1
             if t < 0:
                 continue
+            quo[shift] = (t - lb) % qm1
             for i, u in neg:
                 u += t
                 j = shift + i
@@ -306,83 +420,203 @@ def _log_pow_mod(f: UniPoly, e: int, modulus: UniPoly) -> UniPoly:
                 else:
                     z = zech[(u - c) % qm1]
                     r[j] = (c + z) % qm1 if z >= 0 else -1
-        while r and r[-1] < 0:
-            r.pop()
-        return r
+        _trim(r, -1)
+        return _trim(quo, -1)
 
-    base = mulmod([log[c.n] if c.n else -1 for c in f.coeffs], [0])
-    result = [0]
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        base = mulmod(base, base)
-        e >>= 1
-    exp, elem = ctx.exp, ctx._elem
-    return UniPoly(ctx, [elem(ctx, exp[c]) if c >= 0 else ctx.zero() for c in result])
+    def divmod(self, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+        r = a[:]
+        return self._reduce(r, self._reducer(b)), r
+
+    def gcd(self, a: list[int], b: list[int]) -> list[int]:
+        a, b = a[:], b[:]
+        while b:
+            self._reduce(a, self._reducer(b))
+            a, b = b, a
+        return self.monic(a) if a else a
+
+    def powmod(self, a: list[int], e: int, m: list[int]) -> list[int]:
+        """Left to right, so that a small base (T in x^q) costs little."""
+        if not e:
+            return [0]
+        reducer = self._reducer(m)
+        base = a[:]
+        self._reduce(base, reducer)
+        result = base
+        for bit in bin(e)[3:]:
+            result = self._mul(result, result)
+            self._reduce(result, reducer)
+            if bit == "1":
+                result = self._mul(result, base)
+                self._reduce(result, reducer)
+        return result
+
+    def monic(self, a: list[int]) -> list[int]:
+        lead, qm1 = a[-1], self.qm1
+        return [(c - lead) % qm1 if c >= 0 else -1 for c in a]
+
+    def derivative(self, a: list[int]) -> list[int]:
+        log, p, qm1 = self.log, self.p, self.qm1
+        out = []
+        for i in range(1, len(a)):
+            c, r = a[i], i % p
+            out.append((c + log[r]) % qm1 if c >= 0 and r else -1)
+        return _trim(out, -1)
+
+    def pth_root(self, a: list[int]) -> list[int]:
+        # x -> x^(p^(k-1)) inverts Frobenius
+        s, qm1 = self.p ** (self.ctx.k - 1), self.qm1
+        return [c * s % qm1 if c >= 0 else -1 for c in a[:: self.p]]
+
+    def evaluate_rows(self, rows, x: int) -> list[int]:
+        """[row(x) for row in rows], each row a coefficient list (Horner)."""
+        if x < 0:
+            return _trim([row[0] for row in rows], -1)
+        zech, qm1 = self.zech, self.qm1
+        out = []
+        for row in rows:
+            acc = -1
+            for c in reversed(row):
+                acc = zech_add(zech, qm1, (acc + x) % qm1 if acc >= 0 else -1, c)
+            out.append(acc)
+        return _trim(out, -1)
+
+
+class _Objects:
+    """F_q[T] for k >= 2 above the table cut: a scalar is the field element,
+    and the arithmetic is UniPoly's."""
+
+    __slots__ = ("ctx", "zero", "one")
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        self.zero, self.one = ctx.zero(), ctx.one()
+
+    def scalar(self, x: FieldElement) -> FieldElement:
+        return x
+
+    def elem(self, c: FieldElement) -> FieldElement:
+        return c
+
+    def encoding(self, c: FieldElement) -> int:
+        return c.encoding()
+
+    def from_encoding(self, n: int) -> FieldElement:
+        return self.ctx.from_encoding(n)
+
+    def neg(self, c: FieldElement) -> FieldElement:
+        return -c
+
+    def to_list(self, f: UniPoly) -> list:
+        return list(f.coeffs)
+
+    def to_poly(self, a: list) -> UniPoly:
+        return UniPoly(self.ctx, a)
+
+    def sub(self, a: list, b: list) -> list:
+        return list((self.to_poly(a) - self.to_poly(b)).coeffs)
+
+    def divmod(self, a: list, b: list) -> tuple[list, list]:
+        quo, rem = self.to_poly(a).divmod(self.to_poly(b))
+        return list(quo.coeffs), list(rem.coeffs)
+
+    def gcd(self, a: list, b: list) -> list:
+        return list(self.to_poly(a).gcd(self.to_poly(b)).coeffs)
+
+    def powmod(self, a: list, e: int, m: list) -> list:
+        m = self.to_poly(m)
+        result = UniPoly.one(self.ctx)
+        base = self.to_poly(a) % m
+        while e:
+            if e & 1:
+                result = (result * base) % m
+            e >>= 1
+            if e:
+                base = (base * base) % m
+        return list(result.coeffs)
+
+    def monic(self, a: list) -> list:
+        return list(self.to_poly(a).monic().coeffs)
+
+    def derivative(self, a: list) -> list:
+        return list(self.to_poly(a).derivative().coeffs)
+
+    def pth_root(self, a: list) -> list:
+        s = self.ctx.p ** (self.ctx.k - 1)  # x -> x^(p^(k-1)) inverts Frobenius
+        return [c**s for c in a[:: self.ctx.p]]
+
+    def evaluate_rows(self, rows, x: FieldElement) -> list:
+        """[row(x) for row in rows], each row a coefficient list (Horner)."""
+        out = []
+        for row in rows:
+            acc = self.zero
+            for c in reversed(row):
+                acc = acc * x + c
+            out.append(acc)
+        return _trim(out, self.zero)
+
+
+def kernel(ctx: FieldCtx):
+    """The list kernel of F_q[T] for this context: residues for every prime
+    field, discrete logs for k >= 2 with tables, element objects otherwise."""
+    if ctx.k == 1:
+        return _Residues(ctx)
+    if ctx.log is not None:
+        return _Logs(ctx)
+    return _Objects(ctx)
 
 
 # ---------------------------------------------------------------------------
-# factorization
+# factorization, on kernel lists
 # ---------------------------------------------------------------------------
 
-def _pth_root_poly(f: UniPoly) -> UniPoly:
-    """For f with zero derivative, the g with g(T)^p = f(T)."""
-    ctx = f.ctx
-    p = ctx.p
-    root_exp = p ** (ctx.k - 1)  # x -> x^(p^(k-1)) inverts Frobenius
-    coeffs = []
-    for i in range(0, len(f.coeffs), p):
-        coeffs.append(f.coeffs[i] ** root_exp)
-    return UniPoly(ctx, coeffs)
+def _squarefree(K, f: list) -> list[tuple[list, int]]:
+    """Monic squarefree parts of a nonzero f with multiplicities.
 
-
-def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Monic squarefree parts with multiplicities; product reproduces f/lc."""
-    if f.is_zero():
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
-    f = f.monic()
-    out: list[tuple[UniPoly, int]] = []
-    p = f.ctx.p
+    Every gcd is monic and so is every exact quotient of monic polynomials,
+    so only f itself is normalised.
+    """
+    f = K.monic(f)
+    out = []
+    p = K.ctx.p
     e = 1
-    while f.degree() > 0:
-        d = f.derivative()
-        if d.is_zero():
-            f = _pth_root_poly(f)
+    while len(f) > 1:
+        d = K.derivative(f)
+        if not d:
+            f = K.pth_root(f)
             e *= p
             continue
-        g = f.gcd(d)
-        w = (f // g).monic()
+        g = K.gcd(f, d)
+        w = K.divmod(f, g)[0]
         i = 1
-        while w.degree() > 0:
-            y = w.gcd(g)
-            z = (w // y).monic()
-            if z.degree() > 0:
+        while len(w) > 1:
+            y = K.gcd(w, g)
+            z = K.divmod(w, y)[0]
+            if len(z) > 1:
                 out.append((z, i * e))
             w = y
-            g = (g // y).monic()
+            g = K.divmod(g, y)[0]
             i += 1
         f = g  # what remains is a p-th power
     return out
 
 
-def _distinct_degree(f: UniPoly) -> list[tuple[UniPoly, int]]:
+def _distinct_degree(K, f: list) -> list[tuple[list, int]]:
     """Split squarefree monic f into products of same-degree irreducibles."""
-    ctx = f.ctx
-    q = ctx.q
+    q = K.ctx.q
+    x = [K.zero, K.one]
     out = []
-    h = UniPoly.x(ctx) % f
-    x = UniPoly.x(ctx)
+    h = K.divmod(x, f)[1]
     i = 1
-    while f.degree() >= 2 * i:
-        h = h.pow_mod(q, f)
-        g = f.gcd(h - x)
-        if g.degree() > 0:
-            out.append((g.monic(), i))
-            f = (f // g).monic()
-            h = h % f
+    while len(f) - 1 >= 2 * i:
+        h = K.powmod(h, q, f)
+        g = K.gcd(f, K.sub(h, x))
+        if len(g) > 1:
+            out.append((g, i))
+            f = K.divmod(f, g)[0]
+            h = K.divmod(h, f)[1]
         i += 1
-    if f.degree() > 0:
-        out.append((f, f.degree()))
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
@@ -393,56 +627,81 @@ def _distinct_degree(f: UniPoly) -> list[tuple[UniPoly, int]]:
 _EDF_MAX_DRAWS = 64
 
 
-def _equal_degree_split(f: UniPoly, d: int) -> list[UniPoly]:
+def _equal_degree_split(K, f: list, d: int) -> list[list]:
     """Cantor-Zassenhaus on a squarefree monic product of degree-d irreducibles.
 
     Raises InternalInvariant when f is not such a product (an irreducible
     factor of another degree never splits off).
     """
-    if f.degree() == d:
+    n = len(f) - 1
+    if n == d:
         return [f]
-    ctx = f.ctx
-    rng = crc_rng("edf", ctx.p, ctx.k, tuple(c.encoding() for c in f.coeffs), d)
+    ctx = K.ctx
+    rng = crc_rng("edf", ctx.p, ctx.k, tuple(K.encoding(c) for c in f), d)
     exponent = (ctx.q**d - 1) // 2
-    one = UniPoly.one(ctx)
+    one = [K.one]
     for _ in range(_EDF_MAX_DRAWS):
-        a = UniPoly(
-            ctx, [ctx.from_encoding(rng.randrange(ctx.q)) for _ in range(f.degree())]
-        )
-        if a.is_constant():
+        a = _trim([K.from_encoding(rng.randrange(ctx.q)) for _ in range(n)], K.zero)
+        if len(a) <= 1:
             continue
-        b = a.pow_mod(exponent, f) - one
-        s = f.gcd(b)
-        if 0 < s.degree() < f.degree():
-            return _equal_degree_split(s.monic(), d) + _equal_degree_split(
-                (f // s).monic(), d
+        s = K.gcd(f, K.sub(K.powmod(a, exponent, f), one))
+        if 0 < len(s) - 1 < n:
+            return _equal_degree_split(K, s, d) + _equal_degree_split(
+                K, K.divmod(f, s)[0], d
             )
     raise InternalInvariant(
-        f"no split of a degree-{f.degree()} input into degree-{d} factors "
+        f"no split of a degree-{n} input into degree-{d} factors "
         f"after {_EDF_MAX_DRAWS} draws"
     )
+
+
+def _linear_part(K, f: list, q: int) -> list:
+    """gcd(f, T^q - T): the monic product of T - a over the distinct roots a
+    of f in F_q, for a subfield F_q of f's context (non-constant f)."""
+    x = [K.zero, K.one]
+    return K.gcd(f, K.sub(K.powmod(x, q, f), x))
+
+
+def _roots_of_linear_part(K, lin: list) -> list:
+    """The roots of a monic product of distinct linear factors, as scalars."""
+    if len(lin) < 2:
+        return []
+    return [K.neg(g[0]) for g in _equal_degree_split(K, lin, 1)]
+
+
+def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Monic squarefree parts with multiplicities; product reproduces f/lc."""
+    if f.is_zero():
+        raise ZeroPolynomial("cannot decompose the zero polynomial")
+    K = kernel(f.ctx)
+    return [(K.to_poly(part), mult) for part, mult in _squarefree(K, K.to_list(f))]
 
 
 def factor_univariate(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Full factorization into monic irreducibles, deterministically ordered."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    if f.is_constant():
-        return []
+    K = kernel(f.ctx)
     out = []
-    for part, mult in squarefree_decomposition(f):
-        for block, d in _distinct_degree(part):
-            for irr in _equal_degree_split(block, d):
-                out.append((irr, mult))
+    for part, mult in _squarefree(K, K.to_list(f)):
+        for block, d in _distinct_degree(K, part):
+            for irr in _equal_degree_split(K, block, d):
+                out.append((K.to_poly(irr), mult))
     out.sort(key=lambda pair: pair[0].key())
     return out
 
 
-def _linear_part(f: UniPoly, q: int) -> UniPoly:
-    """gcd(f, T^q - T): the monic product of T - a over the distinct roots a
-    of f in F_q, for a subfield F_q of f's context (nonzero, non-constant f)."""
-    x = UniPoly.x(f.ctx)
-    return f.gcd(x.pow_mod(q, f) - x)
+def kernel_rational_roots(K, f: list) -> tuple[int, list[FieldElement]]:
+    """rational_roots of the kernel list f (nonzero)."""
+    q = K.ctx.q
+    total = 0
+    roots = []
+    for part, mult in _squarefree(K, f):
+        lin = part if len(part) == 2 else _linear_part(K, part, q)
+        total += (len(lin) - 1) * mult
+        roots += _roots_of_linear_part(K, lin)
+    roots.sort(key=K.encoding)
+    return total, [K.elem(r) for r in roots]
 
 
 def rational_roots(f: UniPoly) -> tuple[int, list[FieldElement]]:
@@ -454,16 +713,10 @@ def rational_roots(f: UniPoly) -> tuple[int, list[FieldElement]]:
     of linear factors is split.  This is the first distinct-degree step of
     factor_univariate, without the higher degrees.
     """
-    q = f.ctx.q
-    total = 0
-    roots = []
-    for part, mult in squarefree_decomposition(f):
-        lin = part if part.degree() == 1 else _linear_part(part, q)
-        if lin.degree() >= 1:
-            total += lin.degree() * mult
-            roots.extend(-g.coeffs[0] for g in _equal_degree_split(lin, 1))
-    roots.sort(key=lambda r: r.encoding())
-    return total, roots
+    if f.is_zero():
+        raise ZeroPolynomial("cannot decompose the zero polynomial")
+    K = kernel(f.ctx)
+    return kernel_rational_roots(K, K.to_list(f))
 
 
 def roots_in(f: UniPoly, k: int) -> list[FieldElement]:
@@ -475,15 +728,13 @@ def roots_in(f: UniPoly, k: int) -> list[FieldElement]:
     work_deg = lcm(base.k, k)
     target = make_field(p, k)  # raises SizeExceeded beyond the bound
     work = target if work_deg == k else make_field(p, work_deg)
-    g = f.lift_to(work)
-    if g.degree() < 1:
+    if f.degree() < 1:
         return []
-    lin = _linear_part(g, p**k)
-    roots = []
-    if lin.degree() >= 1:
-        for factor in _equal_degree_split(lin, 1):
-            root = -factor.coeffs[0]
-            roots.append(root if work is target else ffield.descend(root, target))
+    K = kernel(work)
+    g = K.to_list(f.lift_to(work))
+    roots = [K.elem(r) for r in _roots_of_linear_part(K, _linear_part(K, g, p**k))]
+    if work is not target:
+        roots = [ffield.descend(r, target) for r in roots]
     roots.sort(key=lambda r: r.encoding())
     return roots
 
@@ -683,6 +934,7 @@ def _count_points(f: BiPoly, ext_degree: int) -> int:
     ctx = f.ctx
     big = make_field(ctx.p, ctx.k * ext_degree)
     f_big = BiPoly(big, {key: embed(c, big) for key, c in f.terms.items()})
+    K = kernel(big)
     total = 0
     for enc in range(big.q):
         x = big.from_encoding(enc)
@@ -692,7 +944,7 @@ def _count_points(f: BiPoly, ext_degree: int) -> int:
             continue
         if fy.degree() < 1:
             continue
-        total += _linear_part(fy, big.q).degree()
+        total += len(_linear_part(K, K.to_list(fy), big.q)) - 1
     return total
 
 

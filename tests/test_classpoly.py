@@ -10,6 +10,9 @@ from cmgate.errors import (
     NotADiscriminant,
     PDividesD,
     PInert,
+    ProviderDisagreement,
+    SupersingularInput,
+    UnsupportedLevel,
 )
 from cmgate._numutil import crc_rng, is_prime
 
@@ -172,6 +175,67 @@ class TestHilbertModP:
         assert calls == []
         ref = cp.reference_table()[-31]
         assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 19 for c in ref]
+
+
+class TestDegreeLawFaults:
+    @staticmethod
+    def mislabelled_neighbor(H):
+        """(k, encoding) of the first rational neighbour of a root of H, by
+        level, whose true discriminant is not H.D."""
+        for level in er.supported_levels():
+            for r in H.roots:
+                for nb in er._rational_neighbors(r, level):
+                    nb = ff.minimal_field(nb)
+                    try:
+                        if er.provider_a_disc(nb).D != H.D:
+                            return nb.ctx.k, nb.encoding()
+                    except (SupersingularInput, UnsupportedLevel):
+                        continue
+        raise LookupError("no neighbour of another discriminant")
+
+    # (-40, 103) is collected by sampling, (-20, 43) by a sweep; on both a
+    # vertex mislabelled with D must give one root too many, never a
+    # polynomial built from the first h roots found
+    @pytest.mark.parametrize("D,p", [(-40, 103), (-20, 43)])
+    def test_mislabelled_neighbor_is_a_root_too_many(self, D, p, monkeypatch):
+        clear_caches()
+        fake = self.mislabelled_neighbor(cp.hilbert_mod_p(D, p))
+        provider = er.provider_a_disc
+        order = er.CMOrder(*er.split_discriminant(D))
+
+        def lying(j):
+            return order if (j.ctx.k, j.encoding()) == fake else provider(j)
+
+        monkeypatch.setattr(er, "provider_a_disc", lying)
+        clear_caches()
+        try:
+            with pytest.raises(ProviderDisagreement, match="class number is 2"):
+                cp.hilbert_mod_p(D, p)
+        finally:
+            clear_caches()
+
+
+class TestElementBudget:
+    def test_sweep_runs_on_int_lists(self, monkeypatch):
+        # the volcano walks and point orders behind H_-20 mod 43 run on int
+        # lists; on element objects the same call builds over a million
+        # field elements
+        clear_caches()
+        built = []
+        init = ff._EncodedElement.__init__
+
+        def counting(self, ctx, n):
+            built.append(None)
+            init(self, ctx, n)
+
+        monkeypatch.setattr(ff._EncodedElement, "__init__", counting)
+        try:
+            H = cp.hilbert_mod_p(-20, 43)
+        finally:
+            clear_caches()
+        ref = cp.reference_table()[-20]
+        assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 43 for c in ref]
+        assert len(built) < 200_000
 
 
 class TestTraceFilter:

@@ -187,6 +187,20 @@ class TestCommands:
         assert code == cli.EXIT_SENTINEL and out == ""
         assert "internal sentinel" in capsys.readouterr().err
 
+    def test_json_error_document(self, capsys):
+        # 7 is inert for -15: a usage error, which JSON mode also reports
+        # as a document in the fixed schema
+        code, payload = run_json("hilbert", "--D", "-15", "--p", "7")
+        assert code == cli.EXIT_USAGE
+        assert payload["command"] == "hilbert" and payload["verdict"] == "error"
+        assert payload["config"]["D"] == -15 and payload["config"]["p"] == 7
+        assert payload["result"] == {
+            "error": "PInert", "message": "7 is not split for discriminant -15"}
+        assert capsys.readouterr().err == (
+            "error: PInert: 7 is not split for discriminant -15\n")
+        code, out = run_cli("hilbert", "--D", "-15", "--p", "7")
+        assert code == cli.EXIT_USAGE and out == ""
+
     def test_failed_reverification_exits_sentinel_under_O(self):
         # python -O strips assert statements; a gate's witness
         # re-verification must still run there, and its failure exits 3

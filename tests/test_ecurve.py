@@ -4,6 +4,7 @@ import pytest
 
 from cmgate import ecurve as ec
 from cmgate import ffield as ff
+from cmgate import polyring as pr
 from cmgate._numutil import crc_rng
 
 F5 = ff.make_field(5, 1)
@@ -197,3 +198,73 @@ class TestSupersingular:
         for n in range(7):
             E = ec.curve_from_j(ctx.from_int(n))
             assert supersingular(E) == supersingular(E.quadratic_twist())
+
+
+# both sides of the table cut (2^16), with k = 1, 2 and >= 3
+LAW_FIELDS = [(103, 1), (65521, 1), (65537, 1), (13, 2), (251, 2), (7, 3), (5, 6)]
+
+
+class TestGroupLaws:
+    def test_dispatch(self):
+        for (p, k), law in [((65521, 1), ec._ResidueLaw), ((65537, 1), ec._ResidueLaw),
+                            ((251, 2), ec._LogLaw), ((5, 6), ec._LogLaw),
+                            ((257, 2), ec._ObjectLaw)]:
+            E = ec.curve_from_j(ff.make_field(p, k).from_int(5))
+            assert type(ec._group_law(E)) is law, (p, k)
+
+    @staticmethod
+    def special_points(E):
+        """The points of order 2 and the points with x = 0, as elements."""
+        ctx = E.ctx
+        rhs = pr.UniPoly(ctx, [E.b, E.a, ctx.zero(), ctx.one()])
+        out = [(x, ctx.zero()) for x in pr.roots_in(rhs, ctx.k)]
+        if ec._chi(ctx, E.b) == 1:
+            out.append((ctx.zero(), ec._sqrt(ctx, E.b)))
+        return out
+
+    @pytest.mark.parametrize("p,k", LAW_FIELDS)
+    def test_int_law_matches_object_law(self, p, k):
+        ctx = ff.make_field(p, k)
+        rng = crc_rng("group-law", p, k)
+        s = isqrt(4 * ctx.q)
+        lo, hi = ctx.q + 1 - s, ctx.q + 1 + s
+        specials = 0
+        for trial in range(8):
+            j = ctx.from_int(1728) if trial == 0 else ctx.from_encoding(rng.randrange(ctx.q))
+            E = ec.curve_from_j(j)
+            law, obj = ec._group_law(E), ec._ObjectLaw(E)
+
+            def conv(P):
+                return None if P is None else law.point(*P)
+
+            points = [ec._random_point(E, rng) for _ in range(2)] + self.special_points(E)
+            specials += len(points) - 2
+            for P in points:
+                for Q in points + [obj.neg(P), None]:
+                    assert law.add(conv(P), conv(Q)) == conv(obj.add(P, Q))
+                for n in (0, 1, 2, 3, 7, -5, ctx.q + 1, rng.randrange(ctx.q)):
+                    assert ec._ec_mul(n, conv(P), law) == conv(ec._ec_mul(n, P, obj))
+                order = ec._point_order(conv(P), law, lo, hi)
+                assert order == ec._point_order(P, obj, lo, hi)
+        assert specials  # x = 0 and y = 0 were exercised
+
+    @pytest.mark.parametrize("p,k", LAW_FIELDS)
+    def test_filter_and_counts_match_object_law(self, p, k, monkeypatch):
+        ctx = ff.make_field(p, k)
+        rng = crc_rng("group-law-counts", p, k)
+        curves = [ec.curve_from_j(ctx.from_encoding(rng.randrange(ctx.q))) for _ in range(4)]
+        s = isqrt(4 * ctx.q)
+        trace_sets = [set(rng.sample(range(1, s + 1), 3)) for _ in curves]
+
+        def run():
+            return [
+                (ec._bsgs_count(E), ec.trace_filter(E, traces, crc_rng("filter", n)))
+                for n, (E, traces) in enumerate(zip(curves, trace_sets))
+            ]
+
+        fast = run()
+        monkeypatch.setattr(ec, "_group_law", ec._ObjectLaw)
+        assert run() == fast
+        # and the filter never rejects a curve's own trace
+        for E, (count, _) in zip(curves, fast):
+            assert ec.trace_filter(E, {abs(ctx.q + 1 - count)}, rng)

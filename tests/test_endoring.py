@@ -5,6 +5,7 @@ from cmgate import endoring as er
 from cmgate import ffield as ff
 from cmgate import polyring as pr
 from cmgate.errors import SupersingularInput, UnsupportedLevel
+from cmgate._numutil import crc_rng
 
 F5 = ff.make_field(5, 1)
 F7 = ff.make_field(7, 1)
@@ -42,8 +43,7 @@ class TestModularPolynomial:
         # 0 and 54000 are 2-isogenous j-values in any characteristic >= 5
         for p in (5, 7, 11, 31):
             ctx = ff.make_field(p, 1)
-            phi = er.phi_reduced(2, p)
-            assert pr.eval_bi(phi, ctx.zero(), ctx.from_int(54000)).is_zero()
+            assert er.phi_at_j(2, ctx.zero()).evaluate(ctx.from_int(54000)).is_zero()
 
     def test_unsupported_level(self):
         with pytest.raises(UnsupportedLevel):
@@ -55,6 +55,29 @@ class TestModularPolynomial:
             ref = {(level + 1, 0): 1, (level, level): -1, (1, 1): -1, (0, level + 1): 1}
             for key in set(phi.terms) | set(ref):
                 assert (phi.terms.get(key, 0) - ref.get(key, 0)) % level == 0
+
+
+class TestPhiTable:
+    # both sides of the table cut (2^16), with k = 1, 2 and >= 3
+    @pytest.mark.parametrize("p,k", [
+        (13, 1), (65521, 1), (65537, 1), (13, 2), (251, 2), (257, 2), (7, 3),
+    ])
+    def test_matches_bivariate_substitution(self, p, k):
+        ctx = ff.make_field(p, k)
+        rng = crc_rng("phi-table", p, k)
+        js = [ctx.zero(), ctx.one(), ctx.from_int(1728)]
+        js += [ctx.from_encoding(rng.randrange(ctx.q)) for _ in range(3)]
+        for level in er.supported_levels():
+            if level == p:
+                continue
+            # Phi_level reduced mod p, as a bivariate polynomial over F_p
+            phi = pr.BiPoly(ff.make_field(p, 1), er.modular_polynomial(level).terms)
+            for j in js:
+                assert er.phi_at_j(level, j) == phi.substitute_x(j), (level, j)
+
+    def test_level_equal_to_the_characteristic(self):
+        with pytest.raises(UnsupportedLevel):
+            er.phi_at_j(13, F13.from_int(2))
 
 
 class TestIsogenousNeighbors:

@@ -125,6 +125,12 @@ def object_pow_mod(f, e, modulus):
     return result
 
 
+def pow_mod(f, e, modulus):
+    """f^e mod modulus through the kernel of f's context."""
+    K = pr.kernel(f.ctx)
+    return K.to_poly(K.powmod(K.to_list(f), e, K.to_list(modulus)))
+
+
 def random_poly(ctx, rng, degree, lead=None):
     coeffs = [ctx.from_encoding(rng.randrange(ctx.q)) for _ in range(degree)]
     coeffs.append(lead if lead is not None else ctx.from_encoding(rng.randrange(1, ctx.q)))
@@ -132,14 +138,15 @@ def random_poly(ctx, rng, degree, lead=None):
 
 
 class TestTablePowMod:
-    # k = 1 and k >= 2 fields of the suite, and the largest tabled fields
+    # k = 1 and k >= 2 fields of the suite, the largest tabled fields and
+    # a prime field above the table cut (residues need no tables)
     @pytest.mark.parametrize("p,k", [
-        (5, 1), (7, 1), (13, 1), (19, 1), (103, 1), (65521, 1),
+        (5, 1), (7, 1), (13, 1), (19, 1), (103, 1), (65521, 1), (65537, 1),
         (5, 2), (7, 2), (13, 2), (43, 2), (103, 2), (5, 3), (19, 3), (5, 4), (5, 6), (251, 2),
     ])
     def test_matches_object_square_and_multiply(self, p, k):
         ctx = ff.make_field(p, k)
-        assert ctx.log is not None  # the table path is the one under test
+        assert not isinstance(pr.kernel(ctx), pr._Objects)  # an int kernel is under test
         rng = crc_rng("table-pow-mod", p, k)
         for trial in range(10):
             dm = 1 if trial < 3 else rng.randrange(2, 9)
@@ -149,19 +156,17 @@ class TestTablePowMod:
             base = random_poly(ctx, rng, rng.randrange(0, 2 * dm + 3))
             q = ctx.q
             for e in (0, 1, 2, q, (q**dm - 1) // 2, rng.randrange(q**3)):
-                assert base.pow_mod(e, modulus) == object_pow_mod(base, e, modulus), (trial, e)
+                assert pow_mod(base, e, modulus) == object_pow_mod(base, e, modulus), (trial, e)
 
     def test_edge_operands(self):
         for ctx in (F7, F25):
             m = U(ctx, 3, 1, 2)
-            assert pr.UniPoly.zero(ctx).pow_mod(0, m) == pr.UniPoly.one(ctx)
-            assert pr.UniPoly.zero(ctx).pow_mod(5, m).is_zero()
+            assert pow_mod(pr.UniPoly.zero(ctx), 0, m) == pr.UniPoly.one(ctx)
+            assert pow_mod(pr.UniPoly.zero(ctx), 5, m).is_zero()
             # a constant modulus leaves nothing but the e = 0 power
             c = U(ctx, 2)
-            assert pr.UniPoly.x(ctx).pow_mod(3, c).is_zero()
-            assert pr.UniPoly.x(ctx).pow_mod(0, c) == pr.UniPoly.one(ctx)
-            with pytest.raises(ZeroPolynomial):
-                pr.UniPoly.x(ctx).pow_mod(3, pr.UniPoly.zero(ctx))
+            assert pow_mod(pr.UniPoly.x(ctx), 3, c).is_zero()
+            assert pow_mod(pr.UniPoly.x(ctx), 0, c) == pr.UniPoly.one(ctx)
 
     def test_frobenius_power_is_identity_on_roots(self):
         # T^q = T modulo a product of distinct linear factors over F_q
@@ -170,7 +175,7 @@ class TestTablePowMod:
         for n in (0, 1, 7, 100, 168):
             f = f * pr.UniPoly(ctx, [-ctx.from_encoding(n), ctx.one()])
         x = pr.UniPoly.x(ctx)
-        assert x.pow_mod(ctx.q, f) == x
+        assert pow_mod(x, ctx.q, f) == x
 
 
 class TestPowers:
@@ -205,8 +210,9 @@ class TestEqualDegreeSplit:
     def test_factor_of_another_degree_raises(self):
         # T^2 + 2 is irreducible over F_5, so no draw splits it into
         # linear factors; the split must give up rather than loop
+        K = pr.kernel(F5)
         with pytest.raises(InternalInvariant):
-            pr._equal_degree_split(U(F5, 2, 0, 1), 1)
+            pr._equal_degree_split(K, K.to_list(U(F5, 2, 0, 1)), 1)
 
 
 class TestRationalRoots:
@@ -375,3 +381,92 @@ class TestSquarefree:
                 for _ in range(mult):
                     prod = prod * part
             assert prod == f
+
+
+# both sides of the table cut (2^16), with k = 1, 2 and >= 3
+KERNEL_FIELDS = [
+    (7, 1), (103, 1), (65521, 1), (65537, 1),
+    (13, 2), (251, 2), (257, 2), (5, 3), (7, 3), (5, 6),
+]
+
+
+class TestKernels:
+    def test_dispatch(self):
+        for p, k in KERNEL_FIELDS:
+            ctx = ff.make_field(p, k)
+            if k == 1:
+                expected = pr._Residues
+            else:
+                expected = pr._Logs if ctx.q <= ff._TABLE_MAX else pr._Objects
+            assert type(pr.kernel(ctx)) is expected, (p, k)
+
+    @staticmethod
+    def sample(ctx, rng):
+        """Products of linear factors, some repeated, times a random
+        cofactor; for small p also a p-th power, whose derivative is zero."""
+        polys = []
+        for _ in range(4):
+            f = random_poly(ctx, rng, rng.randrange(0, 3))
+            for _ in range(rng.randrange(1, 4)):
+                root = ctx.from_encoding(rng.randrange(ctx.q))
+                f = f * pr.UniPoly(ctx, [-root, ctx.one()]) ** rng.randrange(1, 3)
+            polys.append(f)
+        if ctx.p < 20:
+            c = ctx.from_encoding(rng.randrange(1, ctx.q))
+            g = pr.UniPoly(ctx, [-c] + [ctx.zero()] * (ctx.p - 1) + [ctx.one()])
+            polys.append(g * g * pr.UniPoly.x(ctx))
+        return polys
+
+    @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+    def test_roots_and_factors_match_the_object_path(self, p, k, monkeypatch):
+        ctx = ff.make_field(p, k)
+        polys = self.sample(ctx, crc_rng("kernel-roots", p, k))
+        # a polynomial over a subfield, with roots taken in a larger field
+        sub = ff.make_field(p, 1 if k < 6 else 2)
+        sub_poly = random_poly(sub, crc_rng("kernel-roots-sub", p, k), 4)
+
+        def run():
+            return [
+                (pr.rational_roots(f), pr.roots_in(f, k), pr.factor_univariate(f),
+                 pr.squarefree_decomposition(f))
+                for f in polys
+            ] + [pr.roots_in(sub_poly, k), pr.roots_in(sub_poly, 3 if k == 6 else k)]
+
+        fast = run()
+        monkeypatch.setattr(pr, "kernel", pr._Objects)  # element objects throughout
+        slow = run()
+        assert fast == slow
+        # the int rational roots are the degree-1 factors of the object path
+        for f, (roots, *_) in zip(polys, fast):
+            assert roots == TestRationalRoots.linear_factors(f)
+        # the samples have repeated rational roots
+        assert any(total > len(roots) for (total, roots), *_ in fast[:-2])
+
+    @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+    def test_kernel_operations_match_unipoly(self, p, k):
+        ctx = ff.make_field(p, k)
+        K = pr.kernel(ctx)
+        rng = crc_rng("kernel-ops", p, k)
+        for _ in range(6):
+            a = random_poly(ctx, rng, rng.randrange(0, 7))
+            b = random_poly(ctx, rng, rng.randrange(0, 4))
+            ka, kb = K.to_list(a), K.to_list(b)
+            assert K.to_poly(ka) == a
+            quo, rem = K.divmod(ka, kb)
+            assert (K.to_poly(quo), K.to_poly(rem)) == a.divmod(b)
+            assert K.to_poly(K.gcd(ka, kb)) == a.gcd(b)
+            assert K.to_poly(K.sub(ka, kb)) == a - b
+            assert K.to_poly(K.monic(ka)) == a.monic()
+            assert K.to_poly(K.derivative(ka)) == a.derivative()
+            assert K.to_poly(K.powmod(ka, ctx.q + 3, kb)) == object_pow_mod(a, ctx.q + 3, b)
+            rows = [ka, kb, []]
+            x = ctx.from_encoding(rng.randrange(ctx.q))
+            values = [K.elem(c) for c in K.evaluate_rows(rows, K.scalar(x))]
+            expected = [a.evaluate(x), b.evaluate(x), ctx.zero()]
+            while expected and expected[-1].is_zero():
+                expected.pop()
+            assert values == expected
+            for c in a.coeffs:
+                s = K.scalar(c)
+                assert K.elem(s) == c and K.elem(K.neg(s)) == -c
+                assert K.from_encoding(K.encoding(s)) == s

@@ -175,14 +175,25 @@ class TestDataDirOverride:
             disc_map = er.ordinary_disc_map(ff.make_field(13, 2))
             return sum(v is er.UNSUPPORTED for v in disc_map.values())
 
+        # the Phi_3 tables of a residue and a discrete-log kernel
+        js = (ff.make_field(13, 1).from_int(5), F169.gen())
+
         for _ in range(2):
             monkeypatch.setenv("CMGATE_DATA_DIR", phi_2_only)
             assert unsupported() == 51
             with pytest.raises(UnsupportedLevel):
                 cp.hilbert_mod_p(-27, 31)  # conductor 3 needs phi_3
+            for j in js:
+                with pytest.raises(UnsupportedLevel):
+                    er.phi_at_j(3, j)
+                with pytest.raises(UnsupportedLevel):
+                    er._rational_neighbor_count(j, 3)
             monkeypatch.delenv("CMGATE_DATA_DIR")
             assert unsupported() == 0
             assert cp.hilbert_mod_p(-27, 31).poly.degree() == 1
+            for j in js:
+                assert er.phi_at_j(3, j).degree() == 4
+                assert er._rational_neighbor_count(j, 3) in (0, 1, 2, 4)
         assert ff.make_field(13, 2) is F169
         clear_caches()
         # contexts are interned: ContextMismatch compares them by identity
@@ -297,6 +308,24 @@ class TestNoDeadDefinitions:
                 ):
                     unused.append(qualname)
         assert sorted(unused) == sorted(self.TEST_REFERENCE_APIS)
+
+
+class TestInternalChecks:
+    PACKAGE = pathlib.Path(ff.__file__).parent
+
+    def test_checks_raise_internal_invariant(self):
+        # an internal check raises InternalInvariant (exit 3, and it survives
+        # python -O); neither an assert statement nor AssertionError does both
+        found = []
+        for path in sorted(self.PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Assert):
+                    found.append(f"{path.name}:{node.lineno}: assert")
+                elif isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if getattr(exc, "id", None) == "AssertionError":
+                        found.append(f"{path.name}:{node.lineno}: raise AssertionError")
+        assert found == []
 
 
 class TestOneCacheModule:
