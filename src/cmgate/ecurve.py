@@ -3,16 +3,17 @@ point counts, Frobenius trace data, supersingularity.
 
 Counting is a quadratic-character scan up to NAIVE_THRESHOLD, the one cut
 point between the two counts, and baby-step giant-step over the Hasse
-interval beyond it, with the usual twist disambiguation: orders of
-deterministically sampled points on the curve and its quadratic twist are
-intersected until a single group order survives in the interval.
+interval beyond it, with the usual twist disambiguation: each deterministically
+sampled point, on the curve or on its quadratic twist, gives its annihilator
+set, the n in the interval with nP = O, from one sweep over the whole
+interval, and the sets are intersected until a single group order survives.
 trace_filter is the cheap one-point test that rules traces out without a
 count.
 
-The group law behind BSGS and the filter runs on int pairs: residues mod p
-in every prime field, discrete logs with Zech additions in F_{p^k}, k >= 2,
-with log tables (q <= 2^16).  Only larger extension fields add points as
-element pairs.
+The group law behind BSGS and the filter runs on plain ints: residue pairs
+in every prime field, pairs of discrete logs with Zech additions in
+F_{p^k}, k >= 2, with log tables (q <= 2^16), and pairs of power-basis
+coefficient tuples in larger extension fields.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import isqrt
 from . import _cache, ffield
 from .errors import InternalInvariant, SizeExceeded, _require
 from .ffield import FieldCtx, FieldElement, embed, zech_add
-from ._numutil import crc_rng, factorize
+from ._numutil import crc_rng
 
 #: the character scan counts fields up to this size, BSGS the larger ones;
 #: the two cost the same near q = 1800 in prime and extension fields alike
@@ -198,51 +199,63 @@ class _LogLaw:
         return (x3, zech_add(zech, qm1, t, ny1))
 
 
-class _ObjectLaw:
-    """The group law over F_{p^k}, k >= 2 above the table cut, on element
-    pairs; baby steps are keyed by the coordinates' coefficient tuples."""
+class _CoeffLaw:
+    """The group law over F_{p^k}, k >= 2 above the table cut, on pairs of
+    power-basis coefficient tuples, through the context's tuple kernels."""
 
-    __slots__ = ("a",)
+    __slots__ = ("p", "a", "mul", "inv")
 
     def __init__(self, E: EllipticCurve):
-        self.a = E.a
+        ctx = E.ctx
+        self.p = ctx.p
+        self.a = E.a.coeffs
+        self.mul, self.inv = ctx._mul_coeffs, ctx._inv_coeffs
 
     def point(self, x: FieldElement, y: FieldElement) -> tuple:
-        return (x, y)
+        return (x.coeffs, y.coeffs)
 
     def key(self, P):
-        return P if P is None else (P[0].coeffs, P[1].coeffs)
+        return P
 
     def neg(self, P):
-        return None if P is None else (P[0], -P[1])
+        if P is None:
+            return None
+        p = self.p
+        return (P[0], tuple(-c % p for c in P[1]))
 
     def add(self, P, Q):
         if P is None:
             return Q
         if Q is None:
             return P
+        p, mul = self.p, self.mul
         x1, y1 = P
         x2, y2 = Q
         if x1 == x2:
-            if (y1 + y2).is_zero():
+            if not any((u + v) % p for u, v in zip(y1, y2)):
                 return None
-            lam = (x1 * x1).scale(3) + self.a
-            lam = lam / (y1 + y1)
+            # (3 x1^2 + a) / (2 y1)
+            num = tuple((3 * u + v) % p for u, v in zip(mul(x1, x1), self.a))
+            den = tuple(2 * u % p for u in y1)
         else:
-            lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam - x1 - x2
-        return (x3, lam * (x1 - x3) - y1)
+            # (y2 - y1) / (x2 - x1)
+            num = tuple((u - v) % p for u, v in zip(y2, y1))
+            den = tuple((u - v) % p for u, v in zip(x2, x1))
+        lam = mul(num, self.inv(den))
+        x3 = tuple((u - v - w) % p for u, v, w in zip(mul(lam, lam), x1, x2))
+        d = tuple((u - v) % p for u, v in zip(x1, x3))
+        return (x3, tuple((u - v) % p for u, v in zip(mul(lam, d), y1)))
 
 
 def _group_law(E: EllipticCurve):
     """Residues for every prime field, discrete logs for k >= 2 with log
-    tables, element objects otherwise."""
+    tables, coefficient tuples otherwise."""
     ctx = E.ctx
     if ctx.k == 1:
         return _ResidueLaw(E)
     if ctx.log is not None:
         return _LogLaw(E)
-    return _ObjectLaw(E)
+    return _CoeffLaw(E)
 
 
 def _ec_mul(n: int, P, law):
@@ -266,21 +279,23 @@ def _nonsquare(ctx: FieldCtx) -> FieldElement:
             if log[enc] & 1:
                 return ctx.from_encoding(enc)
         raise InternalInvariant("no nonsquare found")
-    exp = (ctx.q - 1) // 2
     rng = crc_rng("nonsquare", ctx.p, ctx.k)
     while True:
         x = ctx.from_encoding(rng.randrange(1, ctx.q))
-        if (x**exp) != ctx.one():
+        if _chi(ctx, x) == -1:
             return x
 
 
 def _chi(ctx: FieldCtx, u: FieldElement) -> int:
+    """The quadratic character: the parity of the log with tables, else the
+    Legendre symbol of the norm, since u^((q - 1)/2) = N(u)^((p - 1)/2)."""
     if u.is_zero():
         return 0
     log = ctx.log
     if log is not None:
         return -1 if log[u.encoding()] & 1 else 1
-    return 1 if u ** ((ctx.q - 1) // 2) == ctx.one() else -1
+    p = ctx.p
+    return 1 if pow(ctx._norm_parts(u.coeffs)[1], (p - 1) // 2, p) == 1 else -1
 
 
 def _sqrt(ctx: FieldCtx, u: FieldElement) -> FieldElement:
@@ -378,40 +393,33 @@ def _log_character_sum(ctx: FieldCtx, a: int, b: int) -> int:
     return total
 
 
-def _point_order(P, law, lo: int, hi: int) -> int:
-    """Exact order of P, via one annihilator in [lo, hi] plus reduction."""
-    width = hi - lo
-    m = isqrt(width) + 1
+def _annihilators(P, law, lo: int, hi: int) -> list[int]:
+    """Every n in [lo, hi] with nP = O, ascending, from one baby-step
+    giant-step sweep over the whole interval.
+
+    The annihilators are the multiples of ord(P).  If a baby step jP, 0 < j < m,
+    is O, then ord(P) = j; otherwise ord(P) >= m, so each giant block of m
+    consecutive n holds at most one of them.
+    """
+    m = isqrt(hi - lo) + 1
     key = law.key
     baby = {}
     Q = None
     for j in range(m):
-        baby.setdefault(key(Q), j)
+        if j and Q is None:
+            return list(range(-(-lo // j) * j, hi + 1, j))
+        baby[key(Q)] = j
         Q = law.add(Q, P)
-    mP = _ec_mul(m, P, law)
-    annihilator = None
+    mP = Q
+    out = []
     R = _ec_mul(lo, P, law)
-    i = 0
-    while lo + i * m <= hi:
+    for n in range(lo, hi + 1, m):
         j = baby.get(key(law.neg(R)))
-        if j is not None and lo + i * m + j <= hi:
-            annihilator = lo + i * m + j
-            break
+        if j is not None and n + j <= hi:
+            out.append(n + j)
         R = law.add(R, mP)
-        i += 1
-    _require(annihilator is not None, "group order must annihilate every point")
-    if annihilator == 0:
-        return 1
-    d = annihilator
-    for prime in factorize(annihilator):
-        while d % prime == 0 and _ec_mul(d // prime, P, law) is None:
-            d //= prime
-    return d
-
-
-def _multiples_in_interval(d: int, lo: int, hi: int) -> list[int]:
-    start = ((lo + d - 1) // d) * d
-    return list(range(start, hi + 1, d))
+    _require(bool(out), "the group order annihilates every point")
+    return out
 
 
 def _random_point(E: EllipticCurve, rng) -> tuple:
@@ -430,15 +438,16 @@ def _bsgs_count(E: EllipticCurve) -> int:
     q = ctx.q
     s = isqrt(4 * q)
     lo, hi = q + 1 - s, q + 1 + s
-    twist = E.quadratic_twist()
+    twist = None  # built on the first twist round; most counts end before it
     rng = crc_rng("bsgs", ctx.p, ctx.k, E.a.encoding(), E.b.encoding())
     candidates: set[int] | None = None
     for round_no in range(64):
         use_twist = round_no % 2 == 1
+        if use_twist and twist is None:
+            twist = E.quadratic_twist()
         curve = twist if use_twist else E
         law = _group_law(curve)
-        d = _point_order(law.point(*_random_point(curve, rng)), law, lo, hi)
-        hits = _multiples_in_interval(d, lo, hi)
+        hits = _annihilators(law.point(*_random_point(curve, rng)), law, lo, hi)
         if use_twist:
             hits = [2 * q + 2 - n for n in hits]
         new = set(hits)

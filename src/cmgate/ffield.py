@@ -20,8 +20,11 @@ How an element is stored depends on the size q = p^k of its field:
   (g^a + g^b = g^(a + Z[b - a])).  In a prime field the encoding is the
   residue and + - * are plain modular integer operations.
 * q > _TABLE_MAX: the element is its coefficient tuple in the power basis,
-  with schoolbook multiplication reduced by the modulus and inversion by
-  extended Euclid.
+  with schoolbook multiplication reduced by the modulus.  Inversion and the
+  quadratic character go through the norm N(a) = a^r, r = (q - 1)/(p - 1):
+  a^(r - 1) is the product of the conjugates a^(p^i), 0 < i < k, each one
+  Frobenius matrix away from the last, and a^-1 = a^(r - 1) / N(a) with
+  N(a) in F_p (Itoh and Tsujii, Inf. Comput. 78 (1988)).
 
 `.coeffs` is available in both representations; for encoded elements it is
 derived on each read.
@@ -193,7 +196,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "k", "q", "modulus", "_red", "_lock", "_qm1_factors",
-        "_dist_gen", "_frob_rows", "_embed_cache",
+        "_dist_gen", "_frob_rows", "_embed_cache", "_k_divisors",
     )
 
     # discrete-log tables; only _TableCtx has them
@@ -222,6 +225,7 @@ class FieldCtx:
         self._dist_gen = None
         self._frob_rows = None
         self._embed_cache = {}
+        self._k_divisors = _divisors(k)
 
     # -- element constructors -------------------------------------------------
 
@@ -277,26 +281,38 @@ class FieldCtx:
         return tuple(out)
 
     def _inv_coeffs(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        p, k = self.p, self.k
-        if k == 1:
-            if a[0] == 0:
-                raise DivisionByZero("inverse of zero")
-            return (pow(a[0], p - 2, p),)
+        """a^-1 = a^(r - 1) / N(a)."""
         if not any(a):
             raise DivisionByZero("inverse of zero")
-        # extended Euclid in F_p[T] against the modulus
-        r0, r1 = list(self.modulus), _ip_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _ip_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _ip_sub(s0, _ip_mul(q, s1, p), p)
-        inv_c = pow(r0[0], p - 2, p) if len(r0) == 1 else None
-        if inv_c is None:
-            raise DivisionByZero("element not invertible (modulus not irreducible?)")
-        s0 = [c * inv_c % p for c in s0]
-        s0 += [0] * (k - len(s0))
-        return tuple(s0[:k])
+        conj, norm = self._norm_parts(a)
+        p = self.p
+        c = pow(norm, -1, p)
+        return tuple(x * c % p for x in conj)
+
+    def _norm_parts(self, a: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """(a^(r - 1), N(a)) for a nonzero a: the product of the conjugates
+        a^(p^i), 0 < i < k, and the norm a^r in F_p*."""
+        k = self.k
+        if k == 1:
+            return (1,), a[0]
+        conj = b = self._frob_coeffs(a)
+        for _ in range(k - 2):
+            b = self._frob_coeffs(b)
+            conj = self._mul_coeffs(conj, b)
+        norm = self._mul_coeffs(a, conj)
+        _require(norm[0] and not any(norm[1:]), "the norm of a unit lies in F_p*")
+        return conj, norm[0]
+
+    def _frob_coeffs(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        """a^p through the cached Frobenius matrix."""
+        rows = self.frobenius_rows()
+        out = [0] * self.k
+        for ci, row in zip(a, rows):
+            if ci:
+                for idx, r in enumerate(row):
+                    out[idx] += ci * r
+        p = self.p
+        return tuple(c % p for c in out)
 
     def _pow_coeffs(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
         result = _decode(1, self.p, self.k)
@@ -700,15 +716,7 @@ def frobenius(x: FieldElement) -> FieldElement:
     if log is not None:
         n = x.n
         return _ZechElement(ctx, ctx.exp[log[n] * ctx.p % ctx.qm1]) if n else x
-    rows = ctx.frobenius_rows()
-    p, k = ctx.p, ctx.k
-    out = [0] * k
-    for i, ci in enumerate(x.coeffs):
-        if ci:
-            row = rows[i]
-            for idx in range(k):
-                out[idx] = (out[idx] + ci * row[idx]) % p
-    return _PolyElement(ctx, tuple(out))
+    return _PolyElement(ctx, ctx._frob_coeffs(x.coeffs))
 
 
 def multiplicative_order(x: FieldElement) -> int:
@@ -901,7 +909,7 @@ def embed(x: FieldElement, target: FieldCtx) -> FieldElement:
 def element_degree(x: FieldElement) -> int:
     """Degree of F_p(x) over F_p: the least d | k with x^(p^d) = x."""
     ctx = x.ctx
-    for d in sorted(_divisors(ctx.k)):
+    for d in ctx._k_divisors:
         y = x
         for _ in range(d):
             y = frobenius(y)

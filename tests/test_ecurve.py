@@ -5,7 +5,7 @@ import pytest
 from cmgate import ecurve as ec
 from cmgate import ffield as ff
 from cmgate import polyring as pr
-from cmgate._numutil import crc_rng
+from cmgate._numutil import crc_rng, factorize
 
 F5 = ff.make_field(5, 1)
 F7 = ff.make_field(7, 1)
@@ -201,14 +201,94 @@ class TestSupersingular:
 
 
 # both sides of the table cut (2^16), with k = 1, 2 and >= 3
-LAW_FIELDS = [(103, 1), (65521, 1), (65537, 1), (13, 2), (251, 2), (7, 3), (5, 6)]
+LAW_FIELDS = [(103, 1), (65521, 1), (65537, 1), (13, 2), (251, 2), (7, 3), (5, 6),
+              (257, 2), (101, 3), (17, 4)]
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the affine law on element objects, double-and-add on it,
+# and the exact order of a point by one annihilator plus reduction
+# ---------------------------------------------------------------------------
+
+class ElementLaw:
+    """The group law on pairs of field elements, through the element
+    operators, with infinity as None."""
+
+    def __init__(self, E):
+        self.a = E.a
+
+    def point(self, x, y):
+        return (x, y)
+
+    def key(self, P):
+        return P if P is None else (P[0].coeffs, P[1].coeffs)
+
+    def neg(self, P):
+        return None if P is None else (P[0], -P[1])
+
+    def add(self, P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if (y1 + y2).is_zero():
+                return None
+            lam = ((x1 * x1).scale(3) + self.a) / (y1 + y1)
+        else:
+            lam = (y2 - y1) / (x2 - x1)
+        x3 = lam * lam - x1 - x2
+        return (x3, lam * (x1 - x3) - y1)
+
+
+def ref_mul(n, P, law):
+    if n < 0:
+        return ref_mul(-n, law.neg(P), law)
+    R = None
+    for bit in bin(n)[2:]:
+        R = law.add(R, R)
+        if bit == "1":
+            R = law.add(R, P)
+    return R
+
+
+def ref_order(P, law, lo, hi):
+    """Exact order of P: the first annihilator in [lo, hi] by baby-step
+    giant-step, divided by each prime factor while the quotient annihilates."""
+    m = isqrt(hi - lo) + 1
+    baby = {}
+    Q = None
+    for j in range(m):
+        baby.setdefault(law.key(Q), j)
+        Q = law.add(Q, P)
+    mP = ref_mul(m, P, law)
+    R = ref_mul(lo, P, law)
+    annihilator = None
+    for n in range(lo, hi + 1, m):
+        j = baby.get(law.key(law.neg(R)))
+        if j is not None and n + j <= hi:
+            annihilator = n + j
+            break
+        R = law.add(R, mP)
+    assert annihilator  # the group order lies in [lo, hi]
+    d = annihilator
+    for prime in factorize(annihilator):
+        while d % prime == 0 and ref_mul(d // prime, P, law) is None:
+            d //= prime
+    return d
+
+
+def multiples(d, lo, hi):
+    return [n for n in range(lo, hi + 1) if n % d == 0]
 
 
 class TestGroupLaws:
     def test_dispatch(self):
         for (p, k), law in [((65521, 1), ec._ResidueLaw), ((65537, 1), ec._ResidueLaw),
                             ((251, 2), ec._LogLaw), ((5, 6), ec._LogLaw),
-                            ((257, 2), ec._ObjectLaw)]:
+                            ((257, 2), ec._CoeffLaw), ((17, 4), ec._CoeffLaw)]:
             E = ec.curve_from_j(ff.make_field(p, k).from_int(5))
             assert type(ec._group_law(E)) is law, (p, k)
 
@@ -224,6 +304,8 @@ class TestGroupLaws:
 
     @pytest.mark.parametrize("p,k", LAW_FIELDS)
     def test_int_law_matches_object_law(self, p, k):
+        # the residue, log and tuple laws against the element law: sums,
+        # multiples and annihilator sets, on O, points of order 2 and x = 0
         ctx = ff.make_field(p, k)
         rng = crc_rng("group-law", p, k)
         s = isqrt(4 * ctx.q)
@@ -232,20 +314,20 @@ class TestGroupLaws:
         for trial in range(8):
             j = ctx.from_int(1728) if trial == 0 else ctx.from_encoding(rng.randrange(ctx.q))
             E = ec.curve_from_j(j)
-            law, obj = ec._group_law(E), ec._ObjectLaw(E)
+            law, obj = ec._group_law(E), ElementLaw(E)
 
             def conv(P):
                 return None if P is None else law.point(*P)
 
             points = [ec._random_point(E, rng) for _ in range(2)] + self.special_points(E)
             specials += len(points) - 2
-            for P in points:
+            for P in points + [None]:
                 for Q in points + [obj.neg(P), None]:
                     assert law.add(conv(P), conv(Q)) == conv(obj.add(P, Q))
                 for n in (0, 1, 2, 3, 7, -5, ctx.q + 1, rng.randrange(ctx.q)):
-                    assert ec._ec_mul(n, conv(P), law) == conv(ec._ec_mul(n, P, obj))
-                order = ec._point_order(conv(P), law, lo, hi)
-                assert order == ec._point_order(P, obj, lo, hi)
+                    assert ec._ec_mul(n, conv(P), law) == conv(ref_mul(n, P, obj))
+                hits = ec._annihilators(conv(P), law, lo, hi)
+                assert hits == multiples(ref_order(P, obj, lo, hi), lo, hi)
         assert specials  # x = 0 and y = 0 were exercised
 
     @pytest.mark.parametrize("p,k", LAW_FIELDS)
@@ -263,8 +345,88 @@ class TestGroupLaws:
             ]
 
         fast = run()
-        monkeypatch.setattr(ec, "_group_law", ec._ObjectLaw)
+        monkeypatch.setattr(ec, "_group_law", ElementLaw)
         assert run() == fast
         # and the filter never rejects a curve's own trace
         for E, (count, _) in zip(curves, fast):
             assert ec.trace_filter(E, {abs(ctx.q + 1 - count)}, rng)
+
+
+# k >= 2 above the table cut (2^16): the tuple law, norm characters, twists
+BIG_FIELDS = [(257, 2), (293, 2), (101, 3), (211, 3)]
+
+
+class TestBigExtensionCounts:
+    @staticmethod
+    def prime_field_trace(p, a, b):
+        """t_1 of y^2 = x^3 + a x + b over F_p, from Legendre symbols."""
+        total = 0
+        for x in range(p):
+            r = (x * x * x + a * x + b) % p
+            if r:
+                total += 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+        return -total
+
+    @pytest.mark.parametrize("p,k", BIG_FIELDS)
+    def test_count_matches_frobenius_recurrence(self, p, k):
+        # #E(F_{p^k}) = p^k + 1 - t_k with t_k = t_1 t_{k-1} - p t_{k-2}
+        ctx = ff.make_field(p, k)
+        assert ctx.log is None
+        rng = crc_rng("big-extension-oracle", p, k)
+        curves = [(1, 0), (0, 1)]
+        while len(curves) < 8:
+            a, b = rng.randrange(p), rng.randrange(p)
+            if (4 * a**3 + 27 * b * b) % p:
+                curves.append((a, b))
+        for a, b in curves:
+            t1 = self.prime_field_trace(p, a, b)
+            t_prev, t = 2, t1
+            for _ in range(k - 1):
+                t_prev, t = t, t1 * t - p * t_prev
+            E = ec.EllipticCurve(ctx.from_int(a), ctx.from_int(b))
+            assert ec.count_points(E) == ctx.q + 1 - t, (a, b)
+
+
+class TestNormCharacter:
+    @pytest.mark.parametrize("p,k", [(65537, 1), (257, 2), (101, 3), (17, 4), (11, 5)])
+    def test_chi_is_euler_criterion(self, p, k):
+        # chi(u) = Legendre(N(u)) against u^((q - 1)/2), on subfield elements too
+        ctx = ff.make_field(p, k)
+        rng = crc_rng("norm-chi", p, k)
+        one, half = ctx.one(), (ctx.q - 1) // 2
+        xs = [ctx.from_encoding(rng.randrange(1, ctx.q)) for _ in range(30)]
+        xs += [ctx.from_int(c) for c in (1, 2, 3, p - 1)]
+        assert ec._chi(ctx, ctx.zero()) == 0
+        for u in xs:
+            assert ec._chi(ctx, u) == (1 if u**half == one else -1)
+
+    @pytest.mark.parametrize("p,k", [(257, 2), (101, 3)])
+    def test_nonsquare_and_twist(self, p, k):
+        ctx = ff.make_field(p, k)
+        c = ec._nonsquare(ctx)
+        assert c ** ((ctx.q - 1) // 2) == -ctx.one()
+        E = ec.curve_from_j(ctx.from_int(5))
+        assert ec.count_points(E) + ec.count_points(E.quadratic_twist()) == 2 * ctx.q + 2
+
+
+class TestBigFieldElementBudget:
+    def test_counts_run_on_tuples(self, monkeypatch):
+        # a count over F_{257^2} or F_{101^3} adds points as coefficient
+        # tuples; on element objects it builds thousands of elements
+        curves = []
+        for p, k in [(257, 2), (101, 3)]:
+            ctx = ff.make_field(p, k)
+            rng = crc_rng("element-budget", p, k)
+            curves += [ec.curve_from_j(ctx.from_encoding(rng.randrange(ctx.q)))
+                       for _ in range(10)]
+        built = []
+        init = ff._PolyElement.__init__
+
+        def counting(self, ctx, coeffs):
+            built.append(None)
+            init(self, ctx, coeffs)
+
+        monkeypatch.setattr(ff._PolyElement, "__init__", counting)
+        for E in curves:
+            ec.count_points(E)
+        assert len(built) / len(curves) < 300

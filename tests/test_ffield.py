@@ -364,3 +364,77 @@ def _ref_order(ctx, a):
         while order % prime == 0 and _ref_pow(ctx, a, order // prime) == one:
             order //= prime
     return order
+
+
+def _euclid_inverse(a, modulus, p):
+    """a^-1 modulo the field's modulus by the extended Euclidean algorithm in
+    F_p[T]; polynomials are coefficient lists, constant term first."""
+
+    def trim(f):
+        while f and f[-1] == 0:
+            f.pop()
+        return f
+
+    def sub_mul(f, c, shift, g):  # f - c T^shift g
+        f = f + [0] * max(0, len(g) + shift - len(f))
+        for i, gi in enumerate(g):
+            f[i + shift] = (f[i + shift] - c * gi) % p
+        return trim(f)
+
+    r0, r1 = list(modulus), trim(list(a))
+    s0, s1 = [], [1]
+    while r1:
+        r, s = r0[:], s0[:]
+        inv_lead = pow(r1[-1], -1, p)
+        while len(r) >= len(r1):
+            c, shift = r[-1] * inv_lead % p, len(r) - len(r1)
+            r = sub_mul(r, c, shift, r1)
+            s = sub_mul(s, c, shift, s1)
+        r0, r1, s0, s1 = r1, r, s1, s
+    assert len(r0) == 1  # gcd is a unit: the modulus is irreducible
+    c = pow(r0[0], -1, p)
+    out = [x * c % p for x in s0]
+    return tuple(out + [0] * (len(modulus) - 1 - len(out)))
+
+
+class TestNormInverse:
+    """Inversion through the norm, a^-1 = a^(r - 1) / N(a), above the table cut."""
+
+    @pytest.mark.parametrize("p,k", [(257, 2), (101, 3), (17, 4), (11, 5)])
+    def test_matches_extended_euclid(self, p, k):
+        ctx = ff.make_field(p, k)
+        assert ctx.log is None
+        xs = [a for a in _samples(ctx, 60) if not a.is_zero()]
+        for d in ctx._k_divisors[:-1]:  # elements of every proper subfield
+            sub = ff.make_field(p, d)
+            rng = crc_rng("norm-inverse-subfield", p, k, d)
+            xs += [ff.embed(sub.from_encoding(rng.randrange(1, sub.q)), ctx) for _ in range(10)]
+        for a in xs:
+            inv = ctx._inv_coeffs(a.coeffs)
+            assert inv == _euclid_inverse(a.coeffs, ctx.modulus, p)
+            assert ctx._mul_coeffs(a.coeffs, inv) == _digits(1, p, k)
+            assert a.inverse().coeffs == inv
+
+    @pytest.mark.parametrize("p,k", [(65537, 1), (257, 2), (11, 5)])
+    def test_zero_has_no_inverse(self, p, k):
+        ctx = ff.make_field(p, k)
+        with pytest.raises(DivisionByZero):
+            ctx._inv_coeffs((0,) * k)
+        with pytest.raises(DivisionByZero):
+            ctx.zero().inverse()
+        with pytest.raises(DivisionByZero):
+            ctx.one() / ctx.zero()
+
+
+class TestElementDegree:
+    @pytest.mark.parametrize("p,k", [(5, 4), (5, 6), (17, 4)])
+    def test_least_d_with_x_to_the_p_to_the_d(self, p, k):
+        ctx = ff.make_field(p, k)
+        assert ctx._k_divisors == [d for d in range(1, k + 1) if k % d == 0]
+        xs = _samples(ctx)
+        for d in ctx._k_divisors:
+            sub = ff.make_field(p, d)
+            xs += [ff.embed(x, ctx) for x in _samples(sub, 4)]
+        for x in xs:
+            least = next(d for d in range(1, k + 1) if x ** (p**d) == x)
+            assert ff.element_degree(x) == least
