@@ -6,6 +6,11 @@ directly in F_{p^m} (m = order of the class of p) and identified by their
 volcano-computed endomorphism discriminant, then the degree is checked
 against the reduced-form class number.  That degree law is the independent
 anchor that keeps the two endomorphism-ring providers honest.
+
+Only a j of degree m whose Frobenius trace satisfies 4p^m = t^2 + w^2|D|
+can have discriminant D, so only those are classified: up to SWEEP_MAX_Q
+the field's trace classes name all of them, beyond it a sampled j must pass
+a one-point trace filter and a count first.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from .ffield import FieldElement, make_field
 from .polyring import UniPoly
 from ._numutil import crc_rng, factorize, is_prime, isqrt_exact
 
-#: full-context sweeps are used up to this field size; beyond it root
-#: collection falls back to trace-targeted sampling, up to SAMPLING_MAX_Q
+#: roots are collected by a sweep of the root field's trace classes up to
+#: this field size, and by trace-filtered sampling beyond it, up to
+#: SAMPLING_MAX_Q; endo_discriminant's "auto" check runs exactly up to it
 SWEEP_MAX_Q = 4096
 SAMPLING_MAX_Q = 1 << 16
 
@@ -245,27 +251,18 @@ def hilbert_mod_p(D: int, p: int) -> ClassPolynomialModP:
 
 def _collect_roots_sweep(D: int, p: int, m: int, h: int) -> list[FieldElement]:
     ctx = make_field(p, m)
-    disc_map = endoring.ordinary_disc_map(ctx)
-    roots = []
-    unknown = []
-    for enc, val in disc_map.items():
-        if val is endoring.UNSUPPORTED:
-            unknown.append(enc)
-        elif isinstance(val, endoring.CMOrder) and val.D == D:
-            roots.append(ctx.from_encoding(enc))
-    if len(roots) < h and unknown:
-        traces = _representation_traces(D, ctx.q, p)
-        for enc in unknown:
-            j = ffield.minimal_field(ctx.from_encoding(enc))
-            if j.ctx.k != m:
-                continue
-            fd = ecurve.trace_of_j(j)
-            if abs(fd.t) in traces:
-                raise UnsupportedLevel(
-                    f"H_{D} mod {p}: unclassifiable candidate root "
-                    f"(conductor beyond the vendored levels)"
-                )
-    roots.sort(key=lambda r: r.encoding())
+    # a root has degree m and a trace from _representation_traces; m is least,
+    # so no j of a proper subfield has such a trace
+    candidates = endoring.ordinary_disc_map(ctx, _representation_traces(D, ctx.q, p))
+    roots = [
+        ctx.from_encoding(enc) for enc, val in sorted(candidates.items())
+        if isinstance(val, endoring.CMOrder) and val.D == D
+    ]
+    if len(roots) < h and any(val is endoring.UNSUPPORTED for val in candidates.values()):
+        raise UnsupportedLevel(
+            f"H_{D} mod {p}: unclassifiable candidate root "
+            f"(conductor beyond the vendored levels)"
+        )
     return roots
 
 

@@ -1,5 +1,6 @@
 """Elliptic curves over F_{p^k} (p >= 5): models from j-invariants, exact
-point counts, Frobenius trace data, supersingularity.
+point counts, Frobenius trace data, supersingularity, and the trace classes
+of a field: its Frobenius orbits of j grouped by orbit size and |t|.
 
 Counting is a quadratic-character scan up to NAIVE_THRESHOLD, the one cut
 point between the two counts, and baby-step giant-step over the Hasse
@@ -473,6 +474,37 @@ def trace_of_j(j: FieldElement) -> FrobeniusData:
     if t is None:
         t = _cache.publish(traces, key, frobenius_data(curve_from_j(jm)).t)
     return FrobeniusData(jm.ctx.q, t)
+
+
+def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """The Frobenius orbits of ctx grouped by (d, |t|): d is the orbit size,
+    the degree of its field of definition, and t the trace of the fixed model
+    over F_{p^d}.
+
+    Each orbit is a tuple of encodings, its least one first, then its
+    conjugates in Frobenius order; orbits ascend by least encoding.  Each
+    costs one trace lookup.  Cached per field in a store of its own that no
+    configuration reaches: traces do not depend on the modular-polynomial data.
+    """
+    key = (ctx.p, ctx.k)
+    found = _cache.store("trace_classes")
+    classes = found.get(key)
+    if classes is not None:
+        return classes
+    grouped: dict[tuple[int, int], list] = {}
+    seen: set[int] = set()
+    for j in ffield.enumerate_elements(ctx):
+        if j.encoding() in seen:
+            continue
+        orbit = [j.encoding()]
+        y = ffield.frobenius(j)
+        while y != j:
+            orbit.append(y.encoding())
+            y = ffield.frobenius(y)
+        seen.update(orbit)
+        grouped.setdefault((len(orbit), abs(trace_of_j(j).t)), []).append(tuple(orbit))
+    classes = {cls: tuple(orbits) for cls, orbits in grouped.items()}
+    return _cache.publish(found, key, classes)
 
 
 def is_supersingular_j(j: FieldElement) -> bool:

@@ -33,10 +33,6 @@ from .ffield import FieldCtx, FieldElement, make_field
 from .polyring import UniPoly
 from ._numutil import factorize
 
-#: provider B runs automatically when the class-polynomial root field has
-#: at most this many elements (beyond it, only on explicit request)
-HILBERT_AUTO_MAX_Q = 4096
-
 
 class CMOrder:
     """Imaginary quadratic order: discriminant D = f^2 * d_K."""
@@ -315,9 +311,9 @@ def endo_discriminant(j: FieldElement, hilbert_check: str | bool = "auto") -> CM
 
     Provider A (volcano walk) computes the answer; provider B confirms that
     j is a root of the class polynomial of the claimed discriminant.  With
-    hilbert_check="auto" the confirmation runs when the class-polynomial
-    root field is small enough (HILBERT_AUTO_MAX_Q); True forces it, False
-    skips it.  Disagreement raises ProviderDisagreement.
+    hilbert_check="auto" the confirmation runs when the class polynomial
+    would come from a sweep of its root field (classpoly.SWEEP_MAX_Q); True
+    forces it, False skips it.  Disagreement raises ProviderDisagreement.
     """
     j = ffield.minimal_field(j)
     order = provider_a_disc(j)
@@ -327,7 +323,7 @@ def endo_discriminant(j: FieldElement, hilbert_check: str | bool = "auto") -> CM
 
     p = j.ctx.p
     if hilbert_check == "auto":
-        m = classpoly.class_order_of_p(order.D, p, max_q=HILBERT_AUTO_MAX_Q)
+        m = classpoly.class_order_of_p(order.D, p, max_q=classpoly.SWEEP_MAX_Q)
         if m is None:
             return order
     value = classpoly.hilbert_eval(order.D, j)
@@ -441,32 +437,26 @@ SUPERSINGULAR = "supersingular"
 UNSUPPORTED = "unsupported"
 
 
-def ordinary_disc_map(ctx: FieldCtx) -> dict[int, object]:
-    """encoding -> CMOrder | SUPERSINGULAR | UNSUPPORTED for every j in ctx.
+def ordinary_disc_map(ctx: FieldCtx, traces=None) -> dict[int, object]:
+    """encoding -> CMOrder | SUPERSINGULAR | UNSUPPORTED for every j in ctx,
+    or, given a set of traces, for every j of degree ctx.k whose |t| is in it.
 
-    Cached per context; the workhorse behind sweep-built class polynomials
-    and the exhaustive acceptance checks.  Frobenius conjugates share their
-    discriminant, so each orbit is classified once.
+    One loop over ecurve.trace_classes: a class's |t| decides
+    supersingularity, and provider A classifies each ordinary orbit once,
+    from its least encoding.  The map itself is not cached, since the
+    classes and provider A's disc store already hold every input.
     """
-    disc_maps = _cache.store("disc_map")
-    cached = disc_maps.get((ctx.p, ctx.k))
-    if cached is not None:
-        return cached
     out: dict[int, object] = {}
-    for j in ffield.enumerate_elements(ctx):
-        if j.encoding() in out:
+    for (d, t), orbits in ecurve.trace_classes(ctx).items():
+        if traces is not None and (d != ctx.k or t not in traces):
             continue
-        jm = ffield.minimal_field(j)
-        try:
-            verdict: object = provider_a_disc(jm)
-        except SupersingularInput:
-            verdict = SUPERSINGULAR
-        except UnsupportedLevel:
-            verdict = UNSUPPORTED
-        orbit = j
-        for _ in range(ctx.k):
-            out.setdefault(orbit.encoding(), verdict)
-            orbit = ffield.frobenius(orbit)
-            if orbit == j:
-                break
-    return _cache.publish(disc_maps, (ctx.p, ctx.k), out)
+        for orbit in orbits:
+            if t % ctx.p == 0:
+                verdict: object = SUPERSINGULAR
+            else:
+                try:
+                    verdict = provider_a_disc(ctx.from_encoding(orbit[0]))
+                except UnsupportedLevel:
+                    verdict = UNSUPPORTED
+            out.update(dict.fromkeys(orbit, verdict))
+    return out

@@ -5,6 +5,8 @@ from cmgate import clear_caches
 from cmgate import ecurve as ec
 from cmgate import endoring as er
 from cmgate import ffield as ff
+from cmgate import polyring
+from cmgate.acceptance import _admissible_primes
 from cmgate.errors import (
     BothZero,
     NotADiscriminant,
@@ -236,6 +238,85 @@ class TestElementBudget:
         ref = cp.reference_table()[-20]
         assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 43 for c in ref]
         assert len(built) < 200_000
+
+
+# the sweep pairs of the benchmark's hilbert-cold workload, and every D from
+# -3 to -100 at its first admissible prime (criterion 3's choice of primes)
+SWEEP_PAIRS = sorted(
+    {(-7, 11), (-35, 29), (-23, 59), (-31, 7), (-15, 17), (-20, 23), (-24, 29), (-20, 43)}
+    | {(D, _admissible_primes(D, 1)[0]) for D in range(-3, -101, -1) if D % 4 in (0, 1)},
+    reverse=True,
+)
+
+
+class TestTargetedSweep:
+    @pytest.mark.parametrize("D,p", SWEEP_PAIRS)
+    def test_roots_are_the_full_map_labels(self, D, p):
+        # the sweep classifies only the j of degree m whose |t| can carry D;
+        # its roots must be exactly the j that classifying every j labels D
+        H = cp.hilbert_mod_p(D, p)
+        ctx = H.root_ctx
+        assert ctx.q <= cp.SWEEP_MAX_Q
+        full = er.ordinary_disc_map(ctx)
+        assert len(full) == ctx.q
+        labelled = sorted(
+            enc for enc, val in full.items() if isinstance(val, er.CMOrder) and val.D == D
+        )
+        assert [r.encoding() for r in H.roots] == labelled
+        traces = cp._representation_traces(D, ctx.q, p)
+        wanted = {
+            enc: val for enc, val in full.items()
+            if ff.element_degree(ctx.from_encoding(enc)) == ctx.k
+            and abs(ec.trace_of_j(ctx.from_encoding(enc)).t) in traces
+        }
+        assert er.ordinary_disc_map(ctx, traces) == wanted
+
+    @pytest.mark.parametrize("p,k", [(7, 3), (13, 2), (43, 2), (5, 4)])
+    def test_trace_classes_partition_the_field(self, p, k):
+        ctx = ff.make_field(p, k)
+        classes = ec.trace_classes(ctx)
+        covered = []
+        for (d, t), orbits in classes.items():
+            assert list(orbits) == sorted(orbits, key=lambda orbit: orbit[0])
+            for orbit in orbits:
+                assert orbit[0] == min(orbit) and len(orbit) == d
+                x = ctx.from_encoding(orbit[0])
+                assert ff.element_degree(x) == d
+                assert abs(ec.trace_of_j(ff.minimal_field(x)).t) == t
+                for enc, nxt in zip(orbit, orbit[1:] + orbit[:1]):
+                    assert ff.frobenius(ctx.from_encoding(enc)).encoding() == nxt
+                covered.extend(orbit)
+        assert sorted(covered) == list(range(ctx.q))
+
+
+class TestWorkBudget:
+    def test_sweep_classifies_only_candidates(self, monkeypatch):
+        # classifying every j of F_{43^2} takes 786 volcano walks and 883
+        # rational-root computations; the one trace class that can carry
+        # D = -20 (|t| = 76) needs a few
+        clear_caches()
+        calls = {"volcano": 0, "roots": 0}
+        walk = er.volcano_level
+        roots = polyring.kernel_rational_roots
+
+        def counting_walk(*args):
+            calls["volcano"] += 1
+            return walk(*args)
+
+        def counting_roots(*args):
+            calls["roots"] += 1
+            return roots(*args)
+
+        monkeypatch.setattr(er, "volcano_level", counting_walk)
+        monkeypatch.setattr(polyring, "kernel_rational_roots", counting_roots)
+        try:
+            H = cp.hilbert_mod_p(-20, 43)
+        finally:
+            clear_caches()
+        ref = cp.reference_table()[-20]
+        assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 43 for c in ref]
+        assert 0 < calls["volcano"] <= 50
+        assert 0 < calls["roots"] <= 50
 
 
 class TestTraceFilter:

@@ -183,6 +183,11 @@ class TestDataDirOverride:
             assert unsupported() == 51
             with pytest.raises(UnsupportedLevel):
                 cp.hilbert_mod_p(-27, 31)  # conductor 3 needs phi_3
+            with pytest.raises(UnsupportedLevel, match="unclassifiable candidate"):
+                cp.hilbert_mod_p(-20, 23)  # the roots' Frobenius conductor is 3
+            # the root 1728 has |t| = 6; the j with |t| = 4 (Frobenius
+            # conductor 3) stay unclassified, no fault once all h roots are found
+            assert cp.hilbert_mod_p(-4, 13).poly.degree() == 1
             for j in js:
                 with pytest.raises(UnsupportedLevel):
                     er.phi_at_j(3, j)
@@ -191,6 +196,7 @@ class TestDataDirOverride:
             monkeypatch.delenv("CMGATE_DATA_DIR")
             assert unsupported() == 0
             assert cp.hilbert_mod_p(-27, 31).poly.degree() == 1
+            assert cp.hilbert_mod_p(-20, 23).poly.degree() == 2
             for j in js:
                 assert er.phi_at_j(3, j).degree() == 4
                 assert er._rational_neighbor_count(j, 3) in (0, 1, 2, 4)
