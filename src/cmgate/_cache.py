@@ -3,9 +3,13 @@
 The stores in DATA_DIR_STORES depend on the modular-polynomial data: each
 CMGATE_DATA_DIR gets its own, so a change of the variable mid-process is
 honoured.  The others, such as the traces and a field's trace classes, hold
-no result that the data could change, and are shared.  One lock policy: look
-up without the lock, compute outside it, and `publish` by setdefault under
-the module lock, so that racing first calls get the same object.
+no result that the data could change, and are shared.  Per-j results (the
+trace, provider A's discriminant, provider B's confirmed roots) are keyed
+by (p, k, least encoding in j's Frobenius orbit), for j in its minimal
+field F_{p^k}; the neighbours of a volcano vertex stay keyed by the vertex.
+One lock policy: look up without the lock, compute outside it, and `publish`
+by setdefault under the module lock, so that racing first calls get the
+same object.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import os
 import threading
 
 _DATA_DIR_DEFAULT = os.path.join(os.path.dirname(__file__), "data")
-DATA_DIR_STORES = {"levels", "phi", "phi_mod", "neighbors", "disc", "hilbert"}
+DATA_DIR_STORES = {"levels", "phi", "phi_mod", "neighbors", "disc", "hilbert", "hilbert_roots"}
 _lock = threading.Lock()
 _stores: dict = {}  # name, or (name, data dir) -> store
 

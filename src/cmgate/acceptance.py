@@ -62,7 +62,17 @@ def criterion_1() -> CriterionResult:
             except UnsupportedLevel:
                 skipped += 1
                 continue
-            d2 = endoring.endo_discriminant(ffield.frobenius(j))
+            # the conjugate's own count and volcano walk: the stores keyed by
+            # Frobenius orbit would hand d1 back
+            jc = ffield.minimal_field(ffield.frobenius(j))
+            try:
+                d2 = endoring._provider_a_uncached(
+                    jc, ecurve.frobenius_data(ecurve.curve_from_j(jc)))
+            except (SupersingularInput, UnsupportedLevel) as exc:
+                return _result(
+                    1, "frobenius-cm-invariance", False,
+                    f"j enc {j.encoding()} over F_{p}^2: {d1.D}, conjugate {exc!r}",
+                )
             if d1 != d2:
                 return _result(
                     1, "frobenius-cm-invariance", False,

@@ -465,15 +465,24 @@ def frobenius_data(E: EllipticCurve) -> FrobeniusData:
     return FrobeniusData(E.ctx.q, E.ctx.q + 1 - n)
 
 
-def trace_of_j(j: FieldElement) -> FrobeniusData:
-    """Frobenius data of the fixed model over the minimal field of j (cached)."""
-    jm = ffield.minimal_field(j)
-    key = (jm.ctx.p, jm.ctx.k, jm.encoding())
+def trace_of_j(j: FieldElement, key: int | None = None) -> FrobeniusData:
+    """Frobenius data of the fixed model over the minimal field of j.
+
+    Conjugate j have conjugate fixed models, so the trace is cached per
+    Frobenius orbit, under its least encoding, and counted on the model of
+    that least conjugate.  A caller that holds j in its minimal field and
+    knows that encoding passes it as key.
+    """
+    if key is None:
+        j = ffield.minimal_field(j)
+        key = ffield.orbit_key(j)
+    ctx = j.ctx
     traces = _cache.store("trace")
-    t = traces.get(key)
+    t = traces.get((ctx.p, ctx.k, key))
     if t is None:
-        t = _cache.publish(traces, key, frobenius_data(curve_from_j(jm)).t)
-    return FrobeniusData(jm.ctx.q, t)
+        t = frobenius_data(curve_from_j(ctx.from_encoding(key))).t
+        t = _cache.publish(traces, (ctx.p, ctx.k, key), t)
+    return FrobeniusData(ctx.q, t)
 
 
 def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
@@ -483,7 +492,8 @@ def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...],
 
     Each orbit is a tuple of encodings, its least one first, then its
     conjugates in Frobenius order; orbits ascend by least encoding.  Each
-    costs one trace lookup.  Cached per field in a store of its own that no
+    costs one trace lookup, keyed by that least encoding when the orbit
+    spans ctx.  Cached per field in a store of its own that no
     configuration reaches: traces do not depend on the modular-polynomial data.
     """
     key = (ctx.p, ctx.k)
@@ -502,7 +512,8 @@ def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...],
             orbit.append(y.encoding())
             y = ffield.frobenius(y)
         seen.update(orbit)
-        grouped.setdefault((len(orbit), abs(trace_of_j(j).t)), []).append(tuple(orbit))
+        fd = trace_of_j(j, orbit[0]) if len(orbit) == ctx.k else trace_of_j(j)
+        grouped.setdefault((len(orbit), abs(fd.t)), []).append(tuple(orbit))
     classes = {cls: tuple(orbits) for cls, orbits in grouped.items()}
     return _cache.publish(found, key, classes)
 

@@ -223,11 +223,15 @@ def _is_exceptional(j: FieldElement) -> bool:
     return j.is_zero() or j == j.ctx.from_int(1728)
 
 
-def volcano_level(j: FieldElement, level: int) -> tuple[int, int]:
+def volcano_level(
+    j: FieldElement, level: int, fd: ecurve.FrobeniusData | None = None
+) -> tuple[int, int]:
     """(level, depth) of j in its l-volcano: the l-valuations of the
-    conductors of End(E_j) and Z[pi] respectively."""
+    conductors of End(E_j) and Z[pi] respectively.  fd is the Frobenius
+    data of j over its minimal field, looked up when not given."""
     j = ffield.minimal_field(j)
-    fd = ecurve.trace_of_j(j)
+    if fd is None:
+        fd = ecurve.trace_of_j(j)
     if fd.t % j.ctx.p == 0:
         raise SupersingularInput("volcano structure is an ordinary notion")
     _, f_pi = split_discriminant(fd.d_pi)
@@ -266,14 +270,23 @@ def volcano_level(j: FieldElement, level: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def provider_a_disc(j: FieldElement) -> CMOrder:
-    """Volcano-based endomorphism discriminant of an ordinary j."""
+    """Volcano-based endomorphism discriminant of an ordinary j.
+
+    Conjugate j share End(E_j), so the answer is cached per Frobenius orbit
+    and walked from the orbit's least conjugate: it does not depend on which
+    conjugate is asked first.
+    """
     j = ffield.minimal_field(j)
-    key = (j.ctx.p, j.ctx.k, j.encoding())
+    ctx = j.ctx
+    least = ffield.orbit_key(j)
+    key = (ctx.p, ctx.k, least)
     discs = _cache.store("disc")
     cached = discs.get(key)
     if cached is None:
+        j = ctx.from_encoding(least)
         try:
-            cached = _cache.publish(discs, key, _provider_a_uncached(j))
+            cached = _cache.publish(
+                discs, key, _provider_a_uncached(j, ecurve.trace_of_j(j, least)))
         except (SupersingularInput, UnsupportedLevel) as exc:
             _cache.publish(discs, key, (type(exc), exc.args))
             raise
@@ -284,8 +297,8 @@ def provider_a_disc(j: FieldElement) -> CMOrder:
     return cached
 
 
-def _provider_a_uncached(j: FieldElement) -> CMOrder:
-    fd = ecurve.trace_of_j(j)
+def _provider_a_uncached(j: FieldElement, fd: ecurve.FrobeniusData) -> CMOrder:
+    """Provider A on j in its minimal field, whose Frobenius data is fd."""
     if fd.t % j.ctx.p == 0:
         raise SupersingularInput("supersingular j-invariants have no CM order here")
     d_K, f_pi = split_discriminant(fd.d_pi)
@@ -300,7 +313,7 @@ def _provider_a_uncached(j: FieldElement) -> CMOrder:
             raise UnsupportedLevel(
                 f"Frobenius conductor has prime factor {prime} outside {levels}"
             )
-        lam, depth = volcano_level(j, prime)
+        lam, depth = volcano_level(j, prime, fd)
         _require(depth == mult, "volcano depth must be the conductor valuation")
         f_E *= prime**lam
     return CMOrder(d_K, f_E)
@@ -314,6 +327,10 @@ def endo_discriminant(j: FieldElement, hilbert_check: str | bool = "auto") -> CM
     hilbert_check="auto" the confirmation runs when the class polynomial
     would come from a sweep of its root field (classpoly.SWEEP_MAX_Q); True
     forces it, False skips it.  Disagreement raises ProviderDisagreement.
+
+    H_D has coefficients in F_p, so its roots are whole Frobenius orbits: the
+    confirmation runs once per (orbit, D), on the j the caller passed, and
+    the orbits it confirmed are kept in a store.
     """
     j = ffield.minimal_field(j)
     order = provider_a_disc(j)
@@ -326,12 +343,17 @@ def endo_discriminant(j: FieldElement, hilbert_check: str | bool = "auto") -> CM
         m = classpoly.class_order_of_p(order.D, p, max_q=classpoly.SWEEP_MAX_Q)
         if m is None:
             return order
+    key = (p, j.ctx.k, ffield.orbit_key(j), order.D)
+    confirmed = _cache.store("hilbert_roots")
+    if key in confirmed:
+        return order
     value = classpoly.hilbert_eval(order.D, j)
     if not value.is_zero():
         raise ProviderDisagreement(
             f"volcano provider claims D={order.D} for j with encoding "
             f"{j.encoding()} over F_{p}^{j.ctx.k}, but H_D(j) != 0"
         )
+    _cache.publish(confirmed, key, True)
     return order
 
 

@@ -907,8 +907,12 @@ def embed(x: FieldElement, target: FieldCtx) -> FieldElement:
 
 
 def element_degree(x: FieldElement) -> int:
-    """Degree of F_p(x) over F_p: the least d | k with x^(p^d) = x."""
+    """Degree of F_p(x) over F_p: the least d | k with x^(p^d) = x, which
+    with log tables is log(x) (p^d - 1) = 0 mod q - 1."""
     ctx = x.ctx
+    if ctx.log is not None:
+        u = ctx.log[x.n] if x.n else 0
+        return next(d for d in ctx._k_divisors if u * (ctx.p**d - 1) % ctx.qm1 == 0)
     for d in ctx._k_divisors:
         y = x
         for _ in range(d):
@@ -916,6 +920,38 @@ def element_degree(x: FieldElement) -> int:
         if y == x:
             return d
     raise InternalInvariant("unreachable: Frobenius orbit must close")
+
+
+def orbit_key(x: FieldElement) -> int:
+    """The least encoding among the Frobenius conjugates of x in its context.
+
+    For x in its minimal field it names x's orbit, which shares the trace,
+    the endomorphism ring and the roots of every H_D: conjugate j have
+    conjugate fixed models, and H_D has coefficients in F_p.  With log
+    tables the conjugates are exp[log(x) p^i mod (q - 1)], else the
+    Frobenius matrix is applied k - 1 times.
+    """
+    ctx = x.ctx
+    if ctx.k == 1:
+        return x.encoding()
+    log = ctx.log
+    if log is not None:
+        n = x.n
+        if not n:
+            return 0
+        exp, p, qm1 = ctx.exp, ctx.p, ctx.qm1
+        u = log[n]
+        for _ in range(ctx.k - 1):
+            u = u * p % qm1
+            n = min(n, exp[u])
+        return n
+    p = ctx.p
+    coeffs = x.coeffs
+    least = _encode(coeffs, p)
+    for _ in range(ctx.k - 1):
+        coeffs = ctx._frob_coeffs(coeffs)
+        least = min(least, _encode(coeffs, p))
+    return least
 
 
 def descend(x: FieldElement, target: FieldCtx) -> FieldElement:

@@ -730,6 +730,9 @@ def roots_in(f: UniPoly, k: int) -> list[FieldElement]:
     work = target if work_deg == k else make_field(p, work_deg)
     if f.degree() < 1:
         return []
+    if f.degree() == 1 and work is target:
+        c0, c1 = f.coeffs
+        return [ffield.embed(-c0 / c1, target)]
     K = kernel(work)
     g = K.to_list(f.lift_to(work))
     roots = [K.elem(r) for r in _roots_of_linear_part(K, _linear_part(K, g, p**k))]

@@ -2,6 +2,7 @@ from math import isqrt
 
 import pytest
 
+from cmgate import clear_caches
 from cmgate import ecurve as ec
 from cmgate import ffield as ff
 from cmgate import polyring as pr
@@ -430,3 +431,58 @@ class TestBigFieldElementBudget:
         for E in curves:
             ec.count_points(E)
         assert len(built) / len(curves) < 300
+
+
+# F_{5^k}, k <= 4, and small extensions of 7, 11 and 13, all with log tables
+ORBIT_FIELDS = [(5, 1), (5, 2), (5, 3), (5, 4), (7, 3), (11, 2), (13, 2)]
+
+
+def conjugates(x):
+    """x, x^p, ..., x^(p^(k-1)) in x's context, by ffield.frobenius."""
+    out = [x]
+    for _ in range(x.ctx.k - 1):
+        out.append(ff.frobenius(out[-1]))
+    return out
+
+
+def big_field_samples(count=3):
+    """Seeded j in F_{257^2}, above the table cut, and one of F_257 in it."""
+    ctx = ff.make_field(257, 2)
+    rng = crc_rng("orbit-key-samples", 257, 2)
+    js = [ctx.from_encoding(rng.randrange(257, ctx.q)) for _ in range(count)]
+    return js + [ff.embed(ff.make_field(257, 1).from_int(rng.randrange(257)), ctx)]
+
+
+class TestOrbitKeys:
+    @pytest.mark.parametrize("p,k", ORBIT_FIELDS)
+    def test_orbit_key_is_least_conjugate(self, p, k):
+        for x in ff.enumerate_elements(ff.make_field(p, k)):
+            assert ff.orbit_key(x) == min(y.encoding() for y in conjugates(x))
+            jm = ff.minimal_field(x)
+            assert ff.orbit_key(jm) == min(y.encoding() for y in conjugates(jm))
+
+    def test_orbit_key_above_the_table_cut(self):
+        for x in big_field_samples():
+            for y in conjugates(x):
+                assert ff.orbit_key(y) == min(z.encoding() for z in conjugates(x))
+
+    @pytest.mark.parametrize("p,k", ORBIT_FIELDS)
+    def test_trace_is_the_count_of_the_own_model(self, p, k):
+        # the store is keyed by orbit and counts the least conjugate; ask the
+        # largest encodings first, so most lookups hit an entry that another
+        # conjugate filled
+        clear_caches()
+        ctx = ff.make_field(p, k)
+        for n in reversed(range(ctx.q)):
+            j = ctx.from_encoding(n)
+            jm = ff.minimal_field(j)
+            fd = ec.trace_of_j(j)
+            own = ec.frobenius_data(ec.curve_from_j(jm))
+            assert (fd.q, fd.t) == (own.q, own.t)
+
+    def test_trace_above_the_table_cut(self):
+        clear_caches()
+        for x in big_field_samples():
+            for y in reversed(conjugates(x)):
+                own = ec.frobenius_data(ec.curve_from_j(ff.minimal_field(y)))
+                assert ec.trace_of_j(y).t == own.t

@@ -1,10 +1,12 @@
 import pytest
 
+from cmgate import classpoly as cp
+from cmgate import clear_caches
 from cmgate import ecurve as ec
 from cmgate import endoring as er
 from cmgate import ffield as ff
 from cmgate import polyring as pr
-from cmgate.errors import SupersingularInput, UnsupportedLevel
+from cmgate.errors import ProviderDisagreement, SupersingularInput, UnsupportedLevel
 from cmgate._numutil import crc_rng
 
 F5 = ff.make_field(5, 1)
@@ -320,3 +322,81 @@ class TestIsogenyPath:
         # 7 is inert in Q(sqrt(-15)): kronecker(-15, 7) = -1
         assert cp.kronecker(-15, 7) == -1
         assert er.isogeny_path(r1, r2, (7,)) is None
+
+
+def own_provider_a(j):
+    """Provider A on j itself, with its own count and walk: no orbit store."""
+    jm = ff.minimal_field(j)
+    return er._provider_a_uncached(jm, ec.frobenius_data(ec.curve_from_j(jm)))
+
+
+class TestOrbitKeys:
+    # F_{5^k}, k <= 4, and small extensions of 7, 11 and 13
+    @pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (5, 3), (5, 4), (7, 3), (11, 2), (13, 2)])
+    def test_disc_is_provider_a_on_j_itself(self, p, k):
+        # largest encodings first: most answers then come from an orbit entry
+        # walked from another conjugate
+        clear_caches()
+        ctx = ff.make_field(p, k)
+        for n in reversed(range(ctx.q)):
+            j = ctx.from_encoding(n)
+            try:
+                own = own_provider_a(j)
+            except (SupersingularInput, UnsupportedLevel) as exc:
+                with pytest.raises(type(exc)):
+                    er.endo_discriminant(j)
+                continue
+            assert er.endo_discriminant(j) == own
+
+    def test_disc_above_the_table_cut(self):
+        clear_caches()
+        ctx = ff.make_field(257, 2)
+        rng = crc_rng("orbit-key-samples", 257, 2)
+        checked = 0
+        while checked < 2:
+            j = ff.frobenius(ctx.from_encoding(rng.randrange(257, ctx.q)))
+            try:
+                own = own_provider_a(j)
+            except (SupersingularInput, UnsupportedLevel):
+                continue
+            assert er.endo_discriminant(j) == own
+            assert er.endo_discriminant(ff.frobenius(j)) == own
+            checked += 1
+
+    def test_provider_b_runs_once_per_orbit_and_d(self, monkeypatch):
+        # over F_{13^2} every ordinary j is confirmed by H_D; a confirmed
+        # orbit spares its conjugates the check, but never vouches for
+        # another orbit claimed with the same D
+        clear_caches()
+        ctx = ff.make_field(13, 2)
+        orbits = {}
+        for j in ff.enumerate_elements(ctx):
+            if ff.element_degree(j) == 2 and not ec.is_supersingular_j(j):
+                orbits.setdefault(ff.orbit_key(j), j)
+        (j1, j2), order1 = next(
+            ((a, b), er.provider_a_disc(a))
+            for a in orbits.values() for b in orbits.values()
+            if er.provider_a_disc(a) != er.provider_a_disc(b))
+        evaluate, calls = cp.hilbert_eval, []
+
+        def evaluating(D, x):
+            calls.append(x)
+            return evaluate(D, x)
+
+        monkeypatch.setattr(cp, "hilbert_eval", evaluating)
+        assert er.endo_discriminant(j1) == order1
+        assert er.endo_discriminant(ff.frobenius(j1)) == order1
+        assert len(calls) == 1
+        provider = er.provider_a_disc
+
+        def lying(j):
+            jm = ff.minimal_field(j)
+            return order1 if ff.orbit_key(jm) == ff.orbit_key(j2) else provider(j)
+
+        monkeypatch.setattr(er, "provider_a_disc", lying)
+        conjugate = ff.frobenius(j2)
+        try:
+            with pytest.raises(ProviderDisagreement, match=f"encoding {conjugate.encoding()} "):
+                er.endo_discriminant(conjugate)
+        finally:
+            clear_caches()

@@ -1,5 +1,9 @@
 import pytest
 
+from cmgate import classpoly as cp
+from cmgate import clear_caches, cli
+from cmgate import ecurve as ec
+from cmgate import endoring as er
 from cmgate import ffield as ff
 from cmgate import gates as g
 from cmgate import polyring as pr
@@ -261,3 +265,38 @@ class TestConstructFrobeniusPoints:
         for w in ws:
             assert ff.multiplicative_order(w.x) == w.shared_order
             assert ff.multiplicative_order(w.y) == w.shared_order
+
+
+class TestWorkBudget:
+    def test_line_gate_works_once_per_orbit(self, monkeypatch, capsys):
+        # F_{5^k}, k <= 4, has 5 + 10 + 40 + 150 = 205 Frobenius orbits:
+        # conjugate coordinates share their count, their provider-A walk and
+        # their H_D check
+        clear_caches()
+        calls = {"counts": 0, "walks": 0, "hilbert_eval": 0}
+        count, walk, evaluate = ec.count_points, er._provider_a_uncached, cp.hilbert_eval
+
+        def counting(E):
+            calls["counts"] += 1
+            return count(E)
+
+        def walking(j, fd):
+            calls["walks"] += 1
+            return walk(j, fd)
+
+        def evaluating(D, x):
+            calls["hilbert_eval"] += 1
+            return evaluate(D, x)
+
+        monkeypatch.setattr(ec, "count_points", counting)
+        monkeypatch.setattr(er, "_provider_a_uncached", walking)
+        monkeypatch.setattr(cp, "hilbert_eval", evaluating)
+        try:
+            code = cli.run(["ao-gate", "--p", "5", "--curve", "X + Y - 1", "--kmax", "4"])
+        finally:
+            clear_caches()
+        assert code == 1  # the line has CM-mismatch witnesses
+        assert "fail" in capsys.readouterr().out
+        assert 0 < calls["counts"] <= 205
+        assert 0 < calls["walks"] <= 205
+        assert 0 < calls["hilbert_eval"] <= 205

@@ -113,6 +113,41 @@ class TestRootsIn:
         assert len(r2) == 4
 
 
+def gcd_route_roots(f, k):
+    """The roots of f in F_{p^k} by gcd(f, T^q - T) and its split, which
+    roots_in skips for a linear f over a subfield."""
+    target = ff.make_field(f.ctx.p, k)
+    K = pr.kernel(target)
+    lin = pr._linear_part(K, K.to_list(f.lift_to(target)), target.q)
+    return sorted((K.elem(r) for r in pr._roots_of_linear_part(K, lin)),
+                  key=lambda r: r.encoding())
+
+
+class TestLinearRoots:
+    # (p, degree of f's field, degree of the target): f's field is the
+    # target or one of its subfields
+    @pytest.mark.parametrize("p,base_k,k", [
+        (5, 1, 1), (5, 2, 2), (5, 3, 3), (5, 4, 4), (5, 1, 2), (5, 1, 4), (5, 2, 4),
+        (7, 2, 2), (7, 1, 2), (257, 2, 2), (257, 1, 2),
+    ])
+    def test_matches_gcd_route(self, p, base_k, k):
+        base = ff.make_field(p, base_k)
+        rng = crc_rng("linear-roots", p, base_k, k)
+        for _ in range(20):
+            c0 = base.from_encoding(rng.randrange(base.q))
+            c1 = base.from_encoding(rng.randrange(1, base.q))
+            f = pr.UniPoly(base, [c0, c1])
+            roots = pr.roots_in(f, k)
+            assert len(roots) == 1 and roots[0].ctx is ff.make_field(p, k)
+            assert roots == gcd_route_roots(f, k)
+
+    def test_root_outside_the_target(self):
+        # over F_25 with roots asked in F_5 the gcd route still runs
+        a = F25.gen()
+        assert pr.roots_in(pr.UniPoly(F25, [-a, F25.one()]), 1) == []
+        assert pr.roots_in(pr.UniPoly(F25, [F25.from_int(-3), F25.one()]), 1) == [F5.from_int(3)]
+
+
 def object_pow_mod(f, e, modulus):
     """The element-object square-and-multiply the table kernels replace."""
     result = pr.UniPoly.one(f.ctx)
