@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Check ecurve.trace_table against point counts on every field it serves
+in a sweep: each F_{p^k}, p >= 5, with q = p^k <= classpoly.SWEEP_MAX_Q.
+
+For every j other than 0 and 1728, the table's trace must equal the count of
+the fixed model of j's orbit, made once per Frobenius orbit on its least
+conjugate (conjugate j have conjugate models, hence one trace).  Prints one
+line per degree k and the total; exits 1 on the first mismatch.
+
+Run from the repository root:  python3 devtools/check_trace_table.py
+"""
+
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from cmgate import ecurve, ffield  # noqa: E402
+from cmgate._numutil import is_prime  # noqa: E402
+from cmgate.classpoly import SWEEP_MAX_Q  # noqa: E402
+
+
+def fields():
+    for p in range(5, SWEEP_MAX_Q + 1):
+        if is_prime(p):
+            k = 1
+            while p**k <= SWEEP_MAX_Q:
+                yield p, k
+                k += 1
+
+
+def check(p: int, k: int) -> int:
+    """The number of j compared in F_{p^k}; raises SystemExit on a mismatch."""
+    ctx = ffield.make_field(p, k)
+    trace = ecurve.trace_table(ctx)
+    special = {0, ctx.from_int(1728).encoding()}
+    counted = {}
+    for n in range(ctx.q):
+        if n in special:
+            continue
+        key = ffield.orbit_key(ctx.from_encoding(n))
+        if key not in counted:
+            model = ecurve.curve_from_j(ctx.from_encoding(key))
+            counted[key] = ecurve.frobenius_data(model).t
+        if trace(n) != counted[key]:
+            sys.exit(f"MISMATCH over F_{p}^{k} at j = {n}: "
+                     f"table {trace(n)}, count {counted[key]}")
+    return ctx.q - len(special)
+
+
+def main() -> None:
+    start = time.perf_counter()
+    by_k: dict[int, list[int]] = {}
+    for p, k in fields():
+        tally = by_k.setdefault(k, [0, 0])
+        tally[0] += 1
+        tally[1] += check(p, k)
+    for k, (nfields, njs) in sorted(by_k.items()):
+        print(f"k = {k}: {nfields} fields, {njs} j, table = counts")
+    total = sum(n for n, _ in by_k.values())
+    print(f"all {total} fields with q <= {SWEEP_MAX_Q} agree "
+          f"({time.perf_counter() - start:.1f} s)")
+
+
+if __name__ == "__main__":
+    main()

@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import classpoly, endoring, gates, ordertools
+from . import classpoly, endoring
 from .errors import (
     CmgateError,
     InternalInvariant,
@@ -27,8 +28,11 @@ from .errors import (
     WrongVariables,
     _require,
 )
-from .ffield import make_field
+from .ffield import FieldElement, make_field
 from .polyring import BiPoly, UniPoly
+
+if TYPE_CHECKING:
+    from .gates import GateReport, PlaneCurve, RingElementPair
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -169,6 +173,11 @@ def parse_ring_element(text: str, ctx) -> UniPoly:
 # output plumbing
 # ---------------------------------------------------------------------------
 
+def _elt(x: FieldElement) -> dict:
+    """The JSON form of a field element."""
+    return {"deg": x.ctx.k, "enc": x.encoding()}
+
+
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -192,7 +201,7 @@ def _payload(args, command: str, verdict: str, result: dict,
     }
 
 
-def _report_payload(args, command: str, report: gates.GateReport) -> dict:
+def _report_payload(args, command: str, report: GateReport) -> dict:
     d = report.as_dict()
     result = {"conclusion": d["conclusion"], "notes": d["notes"], "sentinel": d["sentinel"]}
     return _payload(
@@ -202,7 +211,7 @@ def _report_payload(args, command: str, report: gates.GateReport) -> dict:
     )
 
 
-def _report_exit(report: gates.GateReport) -> int:
+def _report_exit(report: GateReport) -> int:
     if report.sentinel:
         return EXIT_SENTINEL
     return EXIT_FAIL if report.verdict == "fail" else EXIT_PASS
@@ -238,7 +247,7 @@ def _cmd_hilbert(args) -> int:
     result = {
         "D": args.D, "p": args.p, "degree": H.poly.degree(), "coeffs": coeffs,
         "root_field_degree": H.root_ctx.k,
-        "roots": [gates._elt(r) for r in H.roots],
+        "roots": [_elt(r) for r in H.roots],
     }
     text = [f"H_{args.D} mod {args.p}: coeffs (constant first) {coeffs}"]
     _emit(args, _payload(args, "hilbert", "pass", result), text)
@@ -280,7 +289,7 @@ def _cmd_volcano(args) -> int:
 def _cmd_neighbors(args) -> int:
     ctx = make_field(args.p, args.k)
     nbs = endoring.isogenous_neighbors(_field_element(args, ctx), args.ell)
-    result = {"neighbors": [{"j": gates._elt(w), "multiplicity": m} for w, m in nbs]}
+    result = {"neighbors": [{"j": _elt(w), "multiplicity": m} for w, m in nbs]}
     text = [f"deg {w.ctx.k} enc {w.encoding()} (x{m})" for w, m in nbs]
     _emit(args, _payload(args, "neighbors", "pass", result), text)
     return EXIT_PASS
@@ -296,7 +305,7 @@ def _cmd_isogeny_path(args) -> int:
     result = {
         "found": found,
         "path": None if path is None else [
-            {"level": lv, "j": gates._elt(w)} for lv, w in path
+            {"level": lv, "j": _elt(w)} for lv, w in path
         ],
     }
     text = ["no path found" if not found else
@@ -306,6 +315,8 @@ def _cmd_isogeny_path(args) -> int:
 
 
 def _cmd_cyclotomic(args) -> int:
+    from . import ordertools
+
     ctx = make_field(args.p, 1)
     psi = ordertools.cyclotomic_polynomial(args.n, ctx)
     coeffs = [c.coeffs[0] for c in psi.coeffs]
@@ -315,6 +326,8 @@ def _cmd_cyclotomic(args) -> int:
 
 
 def _cmd_galois_threshold(args) -> int:
+    from . import ordertools
+
     report = ordertools.stabilization_threshold(args.ell, args.p, args.mmax)
     result = report.as_dict()
     result["note"] = (
@@ -327,11 +340,13 @@ def _cmd_galois_threshold(args) -> int:
 
 
 def _cmd_curve_points(args) -> int:
+    from . import gates
+
     ctx = make_field(args.p, 1)
     curve = gates.PlaneCurve(parse_curve(args.curve, ctx))
     pts = list(gates.enumerate_curve_points(curve, args.k))
     result = {"count": len(pts),
-              "points": [{"x": gates._elt(x), "y": gates._elt(y)} for x, y in pts]}
+              "points": [{"x": _elt(x), "y": _elt(y)} for x, y in pts]}
     text = [f"{len(pts)} points over F_{args.p}^{args.k}"] + [
         f"({x.encoding()}, {y.encoding()})" for x, y in pts
     ]
@@ -339,12 +354,16 @@ def _cmd_curve_points(args) -> int:
     return EXIT_PASS
 
 
-def _curve_from_args(args) -> gates.PlaneCurve:
+def _curve_from_args(args) -> PlaneCurve:
+    from . import gates
+
     ctx = make_field(args.p, 1)
     return gates.PlaneCurve(parse_curve(args.curve, ctx))
 
 
 def _cmd_ao_gate(args) -> int:
+    from . import gates
+
     curve = _curve_from_args(args)
     report = gates.andre_oort_gate(
         curve, args.kmax, witness_limit=args.witness_limit
@@ -355,6 +374,8 @@ def _cmd_ao_gate(args) -> int:
 
 
 def _cmd_mult_gate(args) -> int:
+    from . import gates
+
     curve = _curve_from_args(args)
     report = gates.check_mult_hypothesis(
         curve, args.kmax, mode=args.mode, witness_limit=args.witness_limit
@@ -364,6 +385,8 @@ def _cmd_mult_gate(args) -> int:
 
 
 def _cmd_subgroup_detect(args) -> int:
+    from . import gates
+
     curve = _curve_from_args(args)
     form = gates.detect_subgroup_form(curve)
     if form is None:
@@ -371,13 +394,15 @@ def _cmd_subgroup_detect(args) -> int:
         text = ["no monomial subgroup form"]
     else:
         a, b, zeta = form
-        result = {"form": {"a": a, "b": b, "zeta": gates._elt(zeta)}}
+        result = {"form": {"a": a, "b": b, "zeta": _elt(zeta)}}
         text = [f"X^{a} * Y^{b} = element enc {zeta.encoding()}"]
     _emit(args, _payload(args, "subgroup-detect", "pass", result), text)
     return EXIT_PASS
 
 
-def _pair_from_args(args) -> gates.RingElementPair:
+def _pair_from_args(args) -> RingElementPair:
+    from . import gates
+
     ctx = make_field(args.p, 1)
     return gates.RingElementPair(
         parse_ring_element(args.A, ctx), parse_ring_element(args.B, ctx)
@@ -385,6 +410,8 @@ def _pair_from_args(args) -> gates.RingElementPair:
 
 
 def _cmd_support_modular(args) -> int:
+    from . import gates
+
     pair = _pair_from_args(args)
     report = gates.modular_support_check(pair, _discriminant_range(args.dmax))
     _emit(args, _report_payload(args, "support-modular", report), _gate_text(report))
@@ -392,6 +419,8 @@ def _cmd_support_modular(args) -> int:
 
 
 def _cmd_support_mult(args) -> int:
+    from . import gates
+
     pair = _pair_from_args(args)
     report = gates.mult_support_check(pair, args.nmax, n_floor=args.n0)
     _emit(args, _report_payload(args, "support-mult", report), _gate_text(report))
@@ -399,6 +428,8 @@ def _cmd_support_mult(args) -> int:
 
 
 def _cmd_support_cyclo(args) -> int:
+    from . import gates
+
     pair = _pair_from_args(args)
     report = gates.cyclo_support_check(pair, args.nmax, n_floor=args.n0)
     _emit(args, _report_payload(args, "support-cyclo", report), _gate_text(report))
@@ -406,6 +437,8 @@ def _cmd_support_cyclo(args) -> int:
 
 
 def _cmd_construct_points(args) -> int:
+    from . import gates
+
     curve = _curve_from_args(args)
     witnesses = gates.construct_frobenius_points(curve, args.nmax, args.count)
     result = {"witnesses": [w.as_dict() for w in witnesses]}
@@ -435,7 +468,7 @@ def _cmd_selftest(args) -> int:
     return EXIT_PASS if all(r.passed for r in results) else EXIT_FAIL
 
 
-def _gate_text(report: gates.GateReport):
+def _gate_text(report: GateReport):
     lines = [f"{report.gate}: {report.verdict}"]
     if report.conclusion:
         lines.append(f"conclusion: {report.conclusion}")

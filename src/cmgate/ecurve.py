@@ -2,6 +2,13 @@
 point counts, Frobenius trace data, supersingularity, and the trace classes
 of a field: its Frobenius orbits of j grouped by orbit size and |t|.
 
+A field with log tables gets the trace of every j at once from its trace
+table: for y^2 = x^3 + a0 x + b with a0 in {1, g}, the point counts over all
+b form one cyclic convolution over (F_q, +), computed as a single exact
+integer product by Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+44 (2009)), and each fixed model is a twist of one of these curves.
+
 Counting is a quadratic-character scan up to NAIVE_THRESHOLD, the one cut
 point between the two counts, and baby-step giant-step over the Hasse
 interval beyond it, with the usual twist disambiguation: each deterministically
@@ -20,6 +27,7 @@ coefficient tuples in larger extension fields.
 from __future__ import annotations
 
 from math import isqrt
+from typing import Callable
 
 from . import _cache, ffield
 from .errors import InternalInvariant, SizeExceeded, _require
@@ -485,15 +493,109 @@ def trace_of_j(j: FieldElement, key: int | None = None) -> FrobeniusData:
     return FrobeniusData(ctx.q, t)
 
 
+def _pack(slots, values, size: int, span: int) -> int:
+    """The integer whose digit slots[i], in base 2^(8 size) and below
+    position span, is values[i]; every other digit is 0."""
+    digits = bytearray(size * span)
+    for s, n in zip(slots, values):
+        digits[size * s:size * (s + 1)] = n.to_bytes(size, "little")
+    return int.from_bytes(digits, "little")
+
+
+def _cubic_fibres(ctx: FieldCtx, e: int) -> list[int]:
+    """H[v] = #{x in F_q : x^3 + g^e x = v} for every encoding v; g is the
+    primitive element of the log tables."""
+    p, q, qm1, exp = ctx.p, ctx.q, ctx.qm1, ctx.exp
+    fibres = [0] * q
+    if ctx.k == 1:
+        a0 = exp[e]
+        for x in range(p):
+            fibres[(x * x + a0) * x % p] += 1
+        return fibres
+    zech = ctx.zech
+    fibres[0] = 1  # x = 0
+    for u in range(qm1):  # x = g^u: x^3 + g^e x = g^(u + e) (1 + g^(2u - e))
+        z = zech[(2 * u - e) % qm1]
+        fibres[exp[(u + e + z) % qm1] if z >= 0 else 0] += 1
+    return fibres
+
+
+def trace_table(ctx: FieldCtx) -> Callable[[int], int]:
+    """The trace over ctx, a field with log tables, of the fixed model of
+    every j other than 0 and 1728, as a function of j's encoding.
+
+    For a0 = g^e, e in {0, 1}, the affine points of y^2 = x^3 + a0 x + b
+    number R(b) = sum_v H(v) (chi(v + b) + 1), with H from _cubic_fibres and
+    chi the quadratic character; H(-v) = H(v), so R is the convolution of H
+    with chi + 1 over (F_q, +) = (Z/p)^k.  Kronecker substitution turns it
+    into one exact integer product: the digits of an encoding, read in base
+    2p - 1, index W-bit slots, where 2q < 2^W bounds every slot of the
+    product, and folding each digit mod p makes the convolution cyclic.
+    The fixed model (3jw, 2jw^2), w = 1728 - j, is the twist by lambda of
+    (a0, lambda^3 b) with lambda^2 = a0 / a, so t = chi(lambda) (q - R(lambda^3 b)).
+
+    Every entry is checked against the Hasse bound and against the 2-torsion:
+    the points with y = 0 are the H(-b) roots of x^3 + a0 x + b and the others
+    pair up, so R(b) = H(-b) mod 2; for a nonsingular curve, #E = R(b) + 1 is
+    even exactly when H(-b) > 0.
+    """
+    p, k, q, qm1, half, exp, log = ctx.p, ctx.k, ctx.q, ctx.qm1, ctx.half, ctx.exp, ctx.log
+    base = 2 * p - 1
+    slot = [0]  # slot[n]: the base-p digits of encoding n, read in base 2p - 1
+    for i in range(k):
+        step = base**i
+        slot = [s + c * step for c in range(p) for s in slot]
+    size = next(n for n in (1, 2, 4) if 2 * q < 1 << 8 * n)  # bytes a slot
+    width, span = 8 * size, slot[-1] + 1
+    _require(2 * q < 1 << width, "a slot holds every convolution sum, at most 2q")
+    chi1 = _pack(slot, [1] + [0 if log[v] & 1 else 2 for v in range(1, q)], size, span)
+    folds = [  # (shift, mask): the slots whose digit i is below p - 1 take digit i + p
+        (width * p * base**i,
+         int.from_bytes((b"\xff" * (size * (p - 1) * base**i)
+                         + bytes(size * p * base**i)) * base ** (k - 1 - i), "little"))
+        for i in range(k)
+    ]
+    neg = [0] + [exp[log[v] + half] for v in range(1, q)]
+    hasse = isqrt(4 * q)
+    affine = []
+    for e in (0, 1):
+        fibres = _cubic_fibres(ctx, e)
+        _require(sum(fibres) == q, "the cubic's fibres partition F_q")
+        product = _pack(slot, fibres, size, span) * chi1
+        for shift, mask in folds:
+            product += (product >> shift) & mask
+        sums = product.to_bytes(size * base**k, "little")
+        row = [int.from_bytes(sums[size * s:size * (s + 1)], "little") for s in slot]
+        _require(all(abs(q - r) <= hasse and (r - fibres[neg[b]]) % 2 == 0
+                     for b, r in enumerate(row)),
+                 "a tabled count breaks the Hasse bound or the 2-torsion parity")
+        affine.append(row)
+    k1728 = ctx.from_int(1728)
+    log2, log3 = log[2], log[3]
+
+    def trace(j: int) -> int:
+        lj = log[j]
+        lw = log[(k1728 - ctx.from_encoding(j)).encoding()]
+        la = (log3 + lj + lw) % qm1
+        e = la & 1  # a0 = g^e makes a0 / a a square
+        ll = (e - la) % qm1 // 2  # log lambda
+        r = affine[e][exp[(3 * ll + log2 + lj + 2 * lw) % qm1]]
+        return -(q - r) if ll & 1 else q - r
+
+    return trace
+
+
 def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
     """The Frobenius orbits of ctx grouped by (d, |t|): d is the orbit size,
     the degree of its field of definition, and t the trace of the fixed model
     over F_{p^d}.
 
     Each orbit is a tuple of encodings, its least one first, then its
-    conjugates in Frobenius order; orbits ascend by least encoding.  Each
-    costs one trace lookup, keyed by that least encoding when the orbit
-    spans ctx.  Cached per field in a store of its own that no
+    conjugates in Frobenius order; orbits ascend by least encoding.  With
+    log tables, the orbits that span ctx read their traces from one
+    trace_table and publish them to the trace store under that least
+    encoding; j = 0, 1728, orbits of proper subfields and fields without
+    tables take trace_of_j.  Cached per field in a store of its own that no
     configuration reaches: traces do not depend on the modular-polynomial data.
     """
     key = (ctx.p, ctx.k)
@@ -501,6 +603,9 @@ def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...],
     classes = found.get(key)
     if classes is not None:
         return classes
+    table = trace_table(ctx) if ctx.log is not None else None
+    special = {0, ctx.from_int(1728).encoding()}
+    traces = _cache.store("trace")
     grouped: dict[tuple[int, int], list] = {}
     seen: set[int] = set()
     for j in ffield.enumerate_elements(ctx):
@@ -512,8 +617,15 @@ def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...],
             orbit.append(y.encoding())
             y = ffield.frobenius(y)
         seen.update(orbit)
-        fd = trace_of_j(j, orbit[0]) if len(orbit) == ctx.k else trace_of_j(j)
-        grouped.setdefault((len(orbit), abs(fd.t)), []).append(tuple(orbit))
+        if len(orbit) < ctx.k:
+            t = trace_of_j(j).t
+        elif table is None or orbit[0] in special:
+            t = trace_of_j(j, orbit[0]).t
+        else:
+            t = table(orbit[0])
+            _require(_cache.publish(traces, (ctx.p, ctx.k, orbit[0]), t) == t,
+                     "the trace table agrees with the stored trace")
+        grouped.setdefault((len(orbit), abs(t)), []).append(tuple(orbit))
     classes = {cls: tuple(orbits) for cls, orbits in grouped.items()}
     return _cache.publish(found, key, classes)
 

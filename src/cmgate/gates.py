@@ -15,7 +15,10 @@ from __future__ import annotations
 from math import lcm
 
 from . import classpoly, ecurve, endoring, ffield, ordertools, polyring
-from .errors import SizeExceeded, SupersingularInput, UnsupportedLevel, _require
+from .cli import _elt
+from .errors import (
+    InternalInvariant, SizeExceeded, SupersingularInput, UnsupportedLevel, _require,
+)
 from .ffield import FieldCtx, FieldElement, make_field
 from .polyring import BiPoly, UniPoly
 
@@ -93,10 +96,6 @@ class GateReport:
         }
 
 
-def _elt(x: FieldElement) -> dict:
-    return {"deg": x.ctx.k, "enc": x.encoding()}
-
-
 # ---------------------------------------------------------------------------
 # point enumeration
 # ---------------------------------------------------------------------------
@@ -145,6 +144,7 @@ def check_cm_hypothesis(
     report = GateReport(
         "check-cm-hypothesis", {"p": C.ctx.p, "base_k": C.ctx.k, "k_max": k_max}
     )
+    recomputed: dict[tuple[int, int, int], int] = {}
     for k in range(1, k_max + 1):
         for x, y in _new_points_at_level(C, k):
             report.bump("points")
@@ -170,10 +170,11 @@ def check_cm_hypothesis(
                 report.bump("ok")
                 continue
             report.bump("cm_mismatch")
-            # re-verify the witness through independent calls before emitting
+            # re-verify the witness before emitting it: the point, and each
+            # coordinate's order from its own count and walk, not from a store
             _require(polyring.eval_bi(C.f, x, y).is_zero(), "witness: point off the curve")
-            _require(endoring.provider_a_disc(x).D == dx.D, "witness: disc_x differs")
-            _require(endoring.provider_a_disc(y).D == dy.D, "witness: disc_y differs")
+            _require(_recomputed_disc(x, recomputed) == dx.D, "witness: disc_x differs")
+            _require(_recomputed_disc(y, recomputed) == dy.D, "witness: disc_y differs")
             report.witnesses.append(
                 {"kind": "cm-mismatch", "k": k, "x": _elt(x), "y": _elt(y),
                  "disc_x": dx.D, "disc_y": dy.D}
@@ -189,6 +190,21 @@ def check_cm_hypothesis(
     else:
         report.verdict = "pass"
     return report
+
+
+def _recomputed_disc(x: FieldElement, recomputed: dict) -> int:
+    """Provider A's discriminant of x in its minimal field, from its own
+    count and volcano walk rather than the trace and disc stores; computed
+    once per Frobenius orbit and kept in recomputed."""
+    x = ffield.minimal_field(x)
+    key = (x.ctx.p, x.ctx.k, ffield.orbit_key(x))
+    if key not in recomputed:
+        fd = ecurve.frobenius_data(ecurve.curve_from_j(x))
+        try:
+            recomputed[key] = endoring._provider_a_uncached(x, fd).D
+        except (SupersingularInput, UnsupportedLevel) as exc:
+            raise InternalInvariant(f"witness: recomputing its order raised {exc!r}") from exc
+    return recomputed[key]
 
 
 def check_frobenius_conclusion(C: PlaneCurve):

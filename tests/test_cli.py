@@ -232,6 +232,29 @@ class TestCommands:
         assert payload["result"]["criteria"][0]["passed"]
 
 
+class TestStartup:
+    def test_hilbert_loads_neither_gates_nor_ordertools(self):
+        # a fresh process compiles every module it imports; the commands
+        # below the gates should not pay for the gates
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        script = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from cmgate import cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    assert cli.run(['hilbert', '--D', '-7', '--p', '11']) == 0\n"
+            "print(sorted({'cmgate.gates', 'cmgate.ordertools'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestDeterminism:
     def test_byte_identical_json(self):
         argv = ("ao-gate", "--p", "5", "--curve", "X - Y^5", "--kmax", "2")

@@ -4,6 +4,7 @@ import pytest
 
 from cmgate import clear_caches
 from cmgate import ecurve as ec
+from cmgate import endoring as er
 from cmgate import ffield as ff
 from cmgate import polyring as pr
 from cmgate._numutil import crc_rng, factorize
@@ -486,3 +487,63 @@ class TestOrbitKeys:
             for y in reversed(conjugates(x)):
                 own = ec.frobenius_data(ec.curve_from_j(ff.minimal_field(y)))
                 assert ec.trace_of_j(y).t == own.t
+
+
+# the fields the suite sweeps, and for each k from 1 to 5 at least one field;
+# together they have q = 1 and 3 mod 4 and p = 1 and 2 mod 3
+TABLE_FIELDS = [
+    (11, 1), (13, 1), (29, 1), (31, 1), (59, 1),
+    (5, 2), (13, 2), (17, 2), (23, 2), (29, 2), (43, 2),
+    (5, 3), (7, 3), (11, 3), (5, 4), (5, 5),
+]
+
+
+class TestTraceTable:
+    @pytest.mark.parametrize("p,k", TABLE_FIELDS)
+    def test_table_is_the_count_of_every_fixed_model(self, p, k):
+        ctx = ff.make_field(p, k)
+        trace = ec.trace_table(ctx)
+        special = {0, ctx.from_int(1728).encoding()}
+        for j in ff.enumerate_elements(ctx):
+            if j.encoding() not in special:
+                assert trace(j.encoding()) == ec.frobenius_data(ec.curve_from_j(j)).t
+
+    @pytest.mark.parametrize("p,k", [(29, 1), (7, 3), (29, 2), (5, 4)])
+    def test_trace_classes_count_no_spanning_orbit(self, p, k, monkeypatch):
+        clear_caches()
+        ctx = ff.make_field(p, k)
+        special = {0, ctx.from_int(1728).encoding()}
+        count = ec.count_points
+        counted = []
+        monkeypatch.setattr(ec, "count_points", lambda E: counted.append(E) or count(E))
+        try:
+            classes = ec.trace_classes(ctx)
+            # the table serves every orbit but 0, 1728 and those of subfields
+            assert counted and all(E.ctx.k < k or E.j.encoding() in special for E in counted)
+
+            def no_count(E):
+                raise AssertionError("counted a trace that trace_classes stored")
+
+            monkeypatch.setattr(ec, "count_points", no_count)
+            for (d, t), orbits in classes.items():
+                for orbit in orbits:
+                    for enc in orbit if d == k else ():
+                        assert abs(ec.trace_of_j(ctx.from_encoding(enc)).t) == t
+        finally:
+            clear_caches()
+
+    @pytest.mark.parametrize("p,k", [(31, 1), (7, 3), (13, 2), (5, 4)])
+    def test_disc_map_is_unchanged(self, p, k, monkeypatch):
+        ctx = ff.make_field(p, k)
+        clear_caches()
+        try:
+            tabled = er.ordinary_disc_map(ctx)
+            clear_caches()
+            # the per-orbit counts that the table replaces
+            monkeypatch.setattr(ec, "trace_table", lambda c: lambda j: ec.frobenius_data(
+                ec.curve_from_j(c.from_encoding(j))).t)
+            counted = er.ordinary_disc_map(ctx)
+        finally:
+            clear_caches()
+        assert len(tabled) == ctx.q
+        assert tabled == counted

@@ -1,12 +1,13 @@
 import pytest
 
 from cmgate import classpoly as cp
-from cmgate import clear_caches, cli
+from cmgate import _cache, clear_caches, cli
 from cmgate import ecurve as ec
 from cmgate import endoring as er
 from cmgate import ffield as ff
 from cmgate import gates as g
 from cmgate import polyring as pr
+from cmgate.errors import InternalInvariant
 
 F5 = ff.make_field(5, 1)
 
@@ -68,6 +69,19 @@ class TestCmHypothesis:
             x = ff.make_field(5, w["x"]["deg"]).from_encoding(w["x"]["enc"])
             y = ff.make_field(5, w["y"]["deg"]).from_encoding(w["y"]["enc"])
             assert pr.eval_bi(C.f, x, y).is_zero()
+
+
+    def test_witness_is_recomputed_apart_from_the_disc_store(self):
+        # over F_5 the line has the witness (2, 4) with discriminants -11 and
+        # -19; a wrong disc entry for j = 2 must not reach the report
+        clear_caches()
+        _cache.store("disc")[(5, 1, 2)] = er.CMOrder(-7, 1)
+        try:
+            with pytest.raises(InternalInvariant, match="disc_x"):
+                g.check_cm_hypothesis(
+                    curve({(1, 0): 1, (0, 1): 1, (0, 0): -1}), 1, hilbert_check=False)
+        finally:
+            clear_caches()
 
 
 class TestFrobeniusConclusion:
@@ -271,18 +285,28 @@ class TestWorkBudget:
     def test_line_gate_works_once_per_orbit(self, monkeypatch, capsys):
         # F_{5^k}, k <= 4, has 5 + 10 + 40 + 150 = 205 Frobenius orbits:
         # conjugate coordinates share their count, their provider-A walk and
-        # their H_D check
+        # their H_D check; re-verifying the witnesses walks once more per
+        # orbit, apart from the stores
         clear_caches()
-        calls = {"counts": 0, "walks": 0, "hilbert_eval": 0}
+        calls = {"counts": 0, "walks": 0, "rewalks": 0, "hilbert_eval": 0}
         count, walk, evaluate = ec.count_points, er._provider_a_uncached, cp.hilbert_eval
+        recompute = g._recomputed_disc
+        reverifying = []
 
         def counting(E):
             calls["counts"] += 1
             return count(E)
 
         def walking(j, fd):
-            calls["walks"] += 1
+            calls["rewalks" if reverifying else "walks"] += 1
             return walk(j, fd)
+
+        def recomputing(x, memo):
+            reverifying.append(x)
+            try:
+                return recompute(x, memo)
+            finally:
+                reverifying.pop()
 
         def evaluating(D, x):
             calls["hilbert_eval"] += 1
@@ -291,6 +315,7 @@ class TestWorkBudget:
         monkeypatch.setattr(ec, "count_points", counting)
         monkeypatch.setattr(er, "_provider_a_uncached", walking)
         monkeypatch.setattr(cp, "hilbert_eval", evaluating)
+        monkeypatch.setattr(g, "_recomputed_disc", recomputing)
         try:
             code = cli.run(["ao-gate", "--p", "5", "--curve", "X + Y - 1", "--kmax", "4"])
         finally:
@@ -299,4 +324,5 @@ class TestWorkBudget:
         assert "fail" in capsys.readouterr().out
         assert 0 < calls["counts"] <= 205
         assert 0 < calls["walks"] <= 205
+        assert 0 < calls["rewalks"] <= 205
         assert 0 < calls["hilbert_eval"] <= 205
