@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Check ecurve.trace_table against point counts on every field it serves
-in a sweep: each F_{p^k}, p >= 5, with q = p^k <= classpoly.SWEEP_MAX_Q.
+"""Check ecurve.trace_table against point counts, and the orbits of
+ecurve.trace_classes against the element walk of ffield.frobenius, on every
+field the table serves in a sweep: each F_{p^k}, p >= 5, with
+q = p^k <= classpoly.SWEEP_MAX_Q.
 
 For every j other than 0 and 1728, the table's trace must equal the count of
 the fixed model of j's orbit, made once per Frobenius orbit on its least
-conjugate (conjugate j have conjugate models, hence one trace).  Prints one
-line per degree k and the total; exits 1 on the first mismatch.
+conjugate (conjugate j have conjugate models, hence one trace).  Every orbit
+of trace_classes, of size d, must be the least element of its orbit followed
+by its images under ffield.frobenius, and the orbits must partition the field.
+Prints one line per degree k and the total; exits 1 on the first mismatch.
 
 Run from the repository root:  python3 devtools/check_trace_table.py
 """
@@ -16,7 +20,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from cmgate import ecurve, ffield  # noqa: E402
+from cmgate import clear_caches, ecurve, ffield  # noqa: E402
 from cmgate._numutil import is_prime  # noqa: E402
 from cmgate.classpoly import SWEEP_MAX_Q  # noqa: E402
 
@@ -46,7 +50,32 @@ def check(p: int, k: int) -> int:
         if trace(n) != counted[key]:
             sys.exit(f"MISMATCH over F_{p}^{k} at j = {n}: "
                      f"table {trace(n)}, count {counted[key]}")
+    check_orbits(ctx)
+    clear_caches()  # else the trace store keeps every orbit of every field
     return ctx.q - len(special)
+
+
+def check_orbits(ctx) -> None:
+    """The orbits of trace_classes(ctx) against the ffield.frobenius walk of
+    every element, ascending; raises SystemExit on a mismatch."""
+    classes = ecurve.trace_classes(ctx)
+    for (d, _), orbits in classes.items():
+        if any(len(orbit) != d for orbit in orbits):
+            sys.exit(f"ORBIT SIZE MISMATCH over F_{ctx.p}^{ctx.k} in class {d}")
+    walked = []
+    seen = set()
+    for x in ffield.enumerate_elements(ctx):
+        if x.encoding() in seen:
+            continue
+        orbit = [x.encoding()]
+        y = ffield.frobenius(x)
+        while y != x:
+            orbit.append(y.encoding())
+            y = ffield.frobenius(y)
+        seen.update(orbit)
+        walked.append(tuple(orbit))
+    if sorted(orbit for orbits in classes.values() for orbit in orbits) != walked:
+        sys.exit(f"ORBIT MISMATCH over F_{ctx.p}^{ctx.k}")
 
 
 def main() -> None:
@@ -57,7 +86,7 @@ def main() -> None:
         tally[0] += 1
         tally[1] += check(p, k)
     for k, (nfields, njs) in sorted(by_k.items()):
-        print(f"k = {k}: {nfields} fields, {njs} j, table = counts")
+        print(f"k = {k}: {nfields} fields, {njs} j, table = counts, orbits = walk")
     total = sum(n for n, _ in by_k.values())
     print(f"all {total} fields with q <= {SWEEP_MAX_Q} agree "
           f"({time.perf_counter() - start:.1f} s)")

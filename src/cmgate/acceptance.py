@@ -213,12 +213,8 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     F5 = make_field(5, 1)
-    quad = make_field(5, 2)
-    ss_js = {
-        enc for enc, val in endoring.ordinary_disc_map(quad).items()
-        if val is endoring.SUPERSINGULAR
-    }
-    ss_count_bound = len(ss_js)
+    # the number of supersingular j, the roots of their polynomial
+    ss_count_bound = gates._supersingular_polynomial(F5).degree()
     for n in (0, 1, 2):
         curve = gates.PlaneCurve(BiPoly(F5, {(1, 0): 1, (0, 5**n): -1}))
         report = gates.check_cm_hypothesis(curve, 3)

@@ -366,12 +366,8 @@ def _naive_count(E: EllipticCurve) -> int:
             if rhs:
                 count += 1 if squares[rhs] else -1
         return count
-    count = ctx.q + 1
-    if ctx.log is not None:
-        return count + _log_character_sum(ctx, E.a.encoding(), E.b.encoding())
-    for x in ffield.enumerate_elements(ctx):
-        count += _chi(ctx, E.rhs(x))
-    return count
+    # q <= NAIVE_THRESHOLD <= ffield._TABLE_MAX: the field has log tables
+    return ctx.q + 1 + _log_character_sum(ctx, E.a.encoding(), E.b.encoding())
 
 
 def _log_character_sum(ctx: FieldCtx, a: int, b: int) -> int:
@@ -590,8 +586,9 @@ def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...],
     the degree of its field of definition, and t the trace of the fixed model
     over F_{p^d}.
 
-    Each orbit is a tuple of encodings, its least one first, then its
-    conjugates in Frobenius order; orbits ascend by least encoding.  With
+    Each orbit is the ffield.frobenius_orbit of its least encoding: that
+    encoding first, then its conjugates in Frobenius order; the walk marks
+    every conjugate seen, so orbits ascend by least encoding.  With
     log tables, the orbits that span ctx read their traces from one
     trace_table and publish them to the trace store under that least
     encoding; j = 0, 1728, orbits of proper subfields and fields without
@@ -607,25 +604,23 @@ def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...],
     special = {0, ctx.from_int(1728).encoding()}
     traces = _cache.store("trace")
     grouped: dict[tuple[int, int], list] = {}
-    seen: set[int] = set()
-    for j in ffield.enumerate_elements(ctx):
-        if j.encoding() in seen:
+    seen = bytearray(ctx.q)
+    for n in range(ctx.q):
+        if seen[n]:
             continue
-        orbit = [j.encoding()]
-        y = ffield.frobenius(j)
-        while y != j:
-            orbit.append(y.encoding())
-            y = ffield.frobenius(y)
-        seen.update(orbit)
+        j = ctx.from_encoding(n)
+        orbit = ffield.frobenius_orbit(j)
+        for m in orbit:
+            seen[m] = 1
         if len(orbit) < ctx.k:
             t = trace_of_j(j).t
-        elif table is None or orbit[0] in special:
-            t = trace_of_j(j, orbit[0]).t
+        elif table is None or n in special:
+            t = trace_of_j(j, n).t
         else:
-            t = table(orbit[0])
-            _require(_cache.publish(traces, (ctx.p, ctx.k, orbit[0]), t) == t,
+            t = table(n)
+            _require(_cache.publish(traces, (ctx.p, ctx.k, n), t) == t,
                      "the trace table agrees with the stored trace")
-        grouped.setdefault((len(orbit), abs(t)), []).append(tuple(orbit))
+        grouped.setdefault((len(orbit), abs(t)), []).append(orbit)
     classes = {cls: tuple(orbits) for cls, orbits in grouped.items()}
     return _cache.publish(found, key, classes)
 

@@ -196,7 +196,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "k", "q", "modulus", "_red", "_lock", "_qm1_factors",
-        "_dist_gen", "_frob_rows", "_embed_cache", "_k_divisors",
+        "_dist_gen", "_frob_rows", "_embed_cache",
     )
 
     # discrete-log tables; only _TableCtx has them
@@ -225,7 +225,6 @@ class FieldCtx:
         self._dist_gen = None
         self._frob_rows = None
         self._embed_cache = {}
-        self._k_divisors = _divisors(k)
 
     # -- element constructors -------------------------------------------------
 
@@ -719,6 +718,39 @@ def frobenius(x: FieldElement) -> FieldElement:
     return _PolyElement(ctx, ctx._frob_coeffs(x.coeffs))
 
 
+def frobenius_orbit(x: FieldElement) -> tuple[int, ...]:
+    """The encodings of x, x^p, x^(p^2), ... in its context, in Frobenius
+    order, up to the first conjugate that is x again.
+
+    Its length is the degree of F_p(x) and its minimum names the orbit.  With
+    log tables the conjugates are exp[log(x) p^i mod (q - 1)] and 0 is its
+    own orbit; without them each is one Frobenius matrix away from the last.
+    """
+    ctx = x.ctx
+    if ctx.k == 1:
+        return (x.encoding(),)
+    log = ctx.log
+    if log is not None:
+        n = x.n
+        if not n:
+            return (0,)
+        exp, p, qm1 = ctx.exp, ctx.p, ctx.qm1
+        orbit = [n]
+        u = log[n]
+        v = u * p % qm1
+        while v != u:
+            orbit.append(exp[v])
+            v = v * p % qm1
+        return tuple(orbit)
+    p, coeffs = ctx.p, x.coeffs
+    orbit = [_encode(coeffs, p)]
+    c = ctx._frob_coeffs(coeffs)
+    while c != coeffs:
+        orbit.append(_encode(c, p))
+        c = ctx._frob_coeffs(c)
+    return tuple(orbit)
+
+
 def multiplicative_order(x: FieldElement) -> int:
     """Least n >= 1 with x^n = 1; divides q - 1."""
     if x.is_zero():
@@ -759,14 +791,9 @@ def _order_is(x: FieldElement, n: int, factors: dict[int, int]) -> bool:
 def _minpoly_coeffs(x: FieldElement) -> tuple[int, ...]:
     """Minimal polynomial over F_p (int coefficients, constant first, monic)."""
     ctx = x.ctx
-    conj = [x]
-    y = frobenius(x)
-    while y != x:
-        conj.append(y)
-        y = frobenius(y)
     # product of (T - c) over conjugates, computed with field coefficients
     poly = [ctx.one()]
-    for c in conj:
+    for c in map(ctx.from_encoding, frobenius_orbit(x)):
         nxt = [ctx.zero() for _ in range(len(poly) + 1)]
         for i, a in enumerate(poly):
             nxt[i + 1] = nxt[i + 1] + a
@@ -907,19 +934,8 @@ def embed(x: FieldElement, target: FieldCtx) -> FieldElement:
 
 
 def element_degree(x: FieldElement) -> int:
-    """Degree of F_p(x) over F_p: the least d | k with x^(p^d) = x, which
-    with log tables is log(x) (p^d - 1) = 0 mod q - 1."""
-    ctx = x.ctx
-    if ctx.log is not None:
-        u = ctx.log[x.n] if x.n else 0
-        return next(d for d in ctx._k_divisors if u * (ctx.p**d - 1) % ctx.qm1 == 0)
-    for d in ctx._k_divisors:
-        y = x
-        for _ in range(d):
-            y = frobenius(y)
-        if y == x:
-            return d
-    raise InternalInvariant("unreachable: Frobenius orbit must close")
+    """Degree of F_p(x) over F_p: the length of x's Frobenius orbit."""
+    return len(frobenius_orbit(x))
 
 
 def orbit_key(x: FieldElement) -> int:
@@ -927,31 +943,9 @@ def orbit_key(x: FieldElement) -> int:
 
     For x in its minimal field it names x's orbit, which shares the trace,
     the endomorphism ring and the roots of every H_D: conjugate j have
-    conjugate fixed models, and H_D has coefficients in F_p.  With log
-    tables the conjugates are exp[log(x) p^i mod (q - 1)], else the
-    Frobenius matrix is applied k - 1 times.
+    conjugate fixed models, and H_D has coefficients in F_p.
     """
-    ctx = x.ctx
-    if ctx.k == 1:
-        return x.encoding()
-    log = ctx.log
-    if log is not None:
-        n = x.n
-        if not n:
-            return 0
-        exp, p, qm1 = ctx.exp, ctx.p, ctx.qm1
-        u = log[n]
-        for _ in range(ctx.k - 1):
-            u = u * p % qm1
-            n = min(n, exp[u])
-        return n
-    p = ctx.p
-    coeffs = x.coeffs
-    least = _encode(coeffs, p)
-    for _ in range(ctx.k - 1):
-        coeffs = ctx._frob_coeffs(coeffs)
-        least = min(least, _encode(coeffs, p))
-    return least
+    return min(frobenius_orbit(x))
 
 
 def descend(x: FieldElement, target: FieldCtx) -> FieldElement:
@@ -975,10 +969,3 @@ def minimal_field(x: FieldElement) -> FieldElement:
     if d == x.ctx.k:
         return x
     return descend(x, make_field(x.ctx.p, d))
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for prime, mult in factorize(n).items():
-        out = [d * prime**e for d in out for e in range(mult + 1)]
-    return sorted(out)

@@ -22,6 +22,16 @@ from .errors import (
 from .ffield import FieldCtx, FieldElement, make_field
 from .polyring import BiPoly, UniPoly
 
+#: ok-points whose geometric isogeny andre_oort_gate samples
+ISOGENY_SAMPLES = 3
+#: the largest degree over F_p of a support witness's root field
+WITNESS_DEGREE_MAX = 8
+#: the box of the B^(p^m) = A^k scan: 1 <= k <= K_BOUND, 0 <= m <= M_BOUND
+K_BOUND = 64
+M_BOUND = 8
+#: the largest degree over F_p of a field that construct_frobenius_points searches
+DEGREE_CAP = 12
+
 
 class PlaneCurve:
     """An absolutely irreducible affine plane curve f(X, Y) = 0."""
@@ -243,7 +253,6 @@ def andre_oort_gate(
     k_max: int,
     witness_limit: int | None = None,
     hilbert_check: str | bool = "auto",
-    isogeny_samples: int = 3,
 ) -> GateReport:
     """Hypothesis sweep plus conclusion pattern, with the consistency
     sentinel: a clean full-sweep pass without a Frobenius-monomial
@@ -262,10 +271,10 @@ def andre_oort_gate(
     # annotate the geometric-isogeny conclusion on sampled ok-points
     sampled = 0
     for k in range(1, k_max + 1):
-        if sampled >= isogeny_samples:
+        if sampled >= ISOGENY_SAMPLES:
             break
         for x, y in _new_points_at_level(C, k):
-            if sampled >= isogeny_samples:
+            if sampled >= ISOGENY_SAMPLES:
                 break
             if ecurve.is_supersingular_j(x) or ecurve.is_supersingular_j(y):
                 continue
@@ -358,23 +367,32 @@ def _admissible_split_discriminants(D_set, p: int):
 
 def _supersingular_polynomial(ctx: FieldCtx) -> UniPoly:
     """Monic polynomial over F_p whose roots are the supersingular
-    j-invariants (all of which live in F_{p^2})."""
+    j-invariants, all of which lie in F_{p^2}: the trace classes of F_{p^2}
+    with t = 0 mod p."""
     p = ctx.p
     quad = make_field(p, 2)
-    disc_map = endoring.ordinary_disc_map(quad)
     prime_field = make_field(p, 1)
+    supersingular = [enc for (_, t), orbits in ecurve.trace_classes(quad).items()
+                     if t % p == 0 for orbit in orbits for enc in orbit]
     poly = UniPoly.one(quad)
-    for enc, val in sorted(disc_map.items()):
-        if val is endoring.SUPERSINGULAR:
-            poly = poly * UniPoly(quad, [-quad.from_encoding(enc), quad.one()])
+    for enc in supersingular:
+        poly = poly * UniPoly(quad, [-quad.from_encoding(enc), quad.one()])
     coeffs = [ffield.descend(c, prime_field) for c in poly.coeffs]
     return UniPoly(prime_field, coeffs)
 
 
-def _witness_root(factor: UniPoly, max_degree: int):
-    """A root of an irreducible factor, when its field fits the bound."""
+def _culprit(PA: UniPoly, PB: UniPoly) -> UniPoly:
+    """The first irreducible factor of PA that does not divide PB, where
+    the radical of PA was found not to divide PB."""
+    culprit = next((f for f, _ in polyring.factor_univariate(PA) if not f.divides(PB)), None)
+    _require(culprit is not None, "failed radical test without a culprit")
+    return culprit
+
+
+def _witness_root(factor: UniPoly):
+    """A root of an irreducible factor, when its field fits WITNESS_DEGREE_MAX."""
     d = factor.degree() * factor.ctx.k
-    if d > max_degree:
+    if d > WITNESS_DEGREE_MAX:
         return None
     try:
         roots = polyring.roots_in(factor, d)
@@ -383,9 +401,7 @@ def _witness_root(factor: UniPoly, max_degree: int):
     return roots[0] if roots else None
 
 
-def modular_support_check(
-    pair: RingElementPair, D_set, witness_degree_max: int = 8
-) -> GateReport:
+def modular_support_check(pair: RingElementPair, D_set) -> GateReport:
     """Theorem-1.2 gate over R = F_q[t]: for each split discriminant the
     hypothesis is radical divisibility of H_D(A) into H_D(B); non-split
     discriminants are covered in aggregate by the supersingular-image
@@ -413,13 +429,8 @@ def modular_support_check(
             report.bump("D_pass")
             continue
         report.bump("D_fail")
-        culprit = None
-        for factor, _ in polyring.factor_univariate(HofA):
-            if not factor.divides(HofB):
-                culprit = factor
-                break
-        _require(culprit is not None, "failed radical test without a culprit")
-        q_root = _witness_root(culprit, witness_degree_max)
+        culprit = _culprit(HofA, HofB)
+        q_root = _witness_root(culprit)
         witness = {"kind": "modular-support", "D": D,
                    "factor_degree": culprit.degree()}
         if q_root is not None:
@@ -441,14 +452,10 @@ def modular_support_check(
             )
         else:
             report.bump("nonsplit_rootset_fail", len(nonsplit))
-            culprit = None
-            for factor, _ in polyring.factor_univariate(SofA):
-                if not factor.divides(SofB):
-                    culprit = factor
-                    break
+            culprit = _culprit(SofA, SofB)
             witness = {"kind": "supersingular-image",
                        "D": None, "factor_degree": culprit.degree()}
-            q_root = _witness_root(culprit, witness_degree_max)
+            q_root = _witness_root(culprit)
             if q_root is not None:
                 witness["Q"] = _elt(q_root)
             report.witnesses.append(witness)
@@ -480,10 +487,7 @@ def _frobenius_power_relation(A: UniPoly, B: UniPoly):
     return None
 
 
-def mult_support_check(
-    pair: RingElementPair, n_max: int, n_floor: int = 0,
-    k_bound: int = 64, m_bound: int = 8,
-) -> GateReport:
+def mult_support_check(pair: RingElementPair, n_max: int, n_floor: int = 0) -> GateReport:
     """Theorem-2.4(1) gate: radical divisibility of A^n - 1 into B^n - 1
     for n_floor < n <= n_max; conclusion matched as B^(p^m) = A^k."""
     A, B = pair.A, pair.B
@@ -492,7 +496,7 @@ def mult_support_check(
     report = GateReport(
         "mult-support-check",
         {"p": ctx.p, "n_floor": n_floor, "n_max": n_max,
-         "k_bound": k_bound, "m_bound": m_bound},
+         "k_bound": K_BOUND, "m_bound": M_BOUND},
     )
     for n in range(n_floor + 1, n_max + 1):
         An = A**n - one
@@ -501,13 +505,9 @@ def mult_support_check(
             report.bump("n_pass")
             continue
         report.bump("n_fail")
-        culprit = None
-        for factor, _ in polyring.factor_univariate(An):
-            if not factor.divides(Bn):
-                culprit = factor
-                break
+        culprit = _culprit(An, Bn)
         witness = {"kind": "mult-support", "n": n, "factor_degree": culprit.degree()}
-        q_root = _witness_root(culprit, 8)
+        q_root = _witness_root(culprit)
         if q_root is not None:
             a_val = A.lift_to(q_root.ctx).evaluate(q_root)
             b_val = B.lift_to(q_root.ctx).evaluate(q_root)
@@ -515,7 +515,7 @@ def mult_support_check(
             _require((b_val**n) != q_root.ctx.one(), "witness: B(Q)^n = 1")
             witness["Q"] = _elt(q_root)
         report.witnesses.append(witness)
-    conclusion = _power_relation_scan(A, B, k_bound, m_bound)
+    conclusion = _power_relation_scan(A, B)
     if conclusion is not None:
         report.conclusion = {"k": conclusion[0], "m": conclusion[1]}
     else:
@@ -527,7 +527,7 @@ def mult_support_check(
     return report
 
 
-def _power_relation_scan(A: UniPoly, B: UniPoly, k_bound: int, m_bound: int):
+def _power_relation_scan(A: UniPoly, B: UniPoly):
     p = A.ctx.p
     # exact power B = A^e first, reported in the canonical form e = k * p^m
     # with p coprime to k (so (t, t^5) reads as k = 1, m = 1)
@@ -541,28 +541,26 @@ def _power_relation_scan(A: UniPoly, B: UniPoly, k_bound: int, m_bound: int):
             return (k, m)
     # general box scan for B^(p^m) = A^k
     Bp = B
-    for m in range(m_bound + 1):
+    for m in range(M_BOUND + 1):
         deg = Bp.degree()
         if deg % A.degree() == 0:
             k = deg // A.degree()
-            if 1 <= k <= k_bound and A**k == Bp:
+            if 1 <= k <= K_BOUND and A**k == Bp:
                 return (k, m)
-        if Bp.degree() > k_bound * A.degree():
+        if Bp.degree() > K_BOUND * A.degree():
             break
         Bp = Bp.pth_power()
     return None
 
 
-def cyclo_support_check(
-    pair: RingElementPair, n_max: int, n_floor: int = 0, m_bound: int = 8
-) -> GateReport:
+def cyclo_support_check(pair: RingElementPair, n_max: int, n_floor: int = 0) -> GateReport:
     """Theorem-2.4(2) gate: radical divisibility of Psi_n(A) into Psi_n(B)
     for n coprime to p; conclusion matched as B = A^(p^m) or A = B^(p^m)."""
     A, B = pair.A, pair.B
     ctx = A.ctx
     report = GateReport(
         "cyclo-support-check",
-        {"p": ctx.p, "n_floor": n_floor, "n_max": n_max, "m_bound": m_bound},
+        {"p": ctx.p, "n_floor": n_floor, "n_max": n_max, "m_bound": M_BOUND},
     )
     for n in range(n_floor + 1, n_max + 1):
         if n % ctx.p == 0:
@@ -575,13 +573,9 @@ def cyclo_support_check(
             report.bump("n_pass")
             continue
         report.bump("n_fail")
-        culprit = None
-        for factor, _ in polyring.factor_univariate(PA):
-            if not factor.divides(PB):
-                culprit = factor
-                break
+        culprit = _culprit(PA, PB)
         witness = {"kind": "cyclo-support", "n": n, "factor_degree": culprit.degree()}
-        q_root = _witness_root(culprit, 8)
+        q_root = _witness_root(culprit)
         if q_root is not None:
             a_val = A.lift_to(q_root.ctx).evaluate(q_root)
             _require(ffield.multiplicative_order(a_val) == n, "witness: ord A(Q) != n")
@@ -626,7 +620,7 @@ class FrobeniusPointWitness:
 
 
 def construct_frobenius_points(
-    C: PlaneCurve, n_max: int, count: int, degree_cap: int = 12
+    C: PlaneCurve, n_max: int, count: int
 ) -> list[FrobeniusPointWitness]:
     """Find points with x = y^(p^n) on the curve by substituting
     X = Y^(p^n) and collecting roots; each witness records the shared
@@ -647,7 +641,7 @@ def construct_frobenius_points(
         if g.is_zero():
             # the curve IS X = Y^(p^n): every y in every subfield works
             k = 1
-            while len(out) < count and k * ctx.k <= degree_cap:
+            while len(out) < count and k * ctx.k <= DEGREE_CAP:
                 try:
                     field = make_field(p, k * ctx.k)
                 except SizeExceeded:
@@ -663,7 +657,7 @@ def construct_frobenius_points(
             if len(out) >= count:
                 break
             d = factor.degree() * ctx.k
-            if d > degree_cap:
+            if d > DEGREE_CAP:
                 continue
             try:
                 roots = polyring.roots_in(factor, d)

@@ -75,6 +75,10 @@ class TestCountPoints:
                 n2 = ec.count_points(E.quadratic_twist())
                 assert n1 + n2 == 2 * p + 2
 
+    def test_every_naive_count_has_log_tables(self):
+        # the character scan sums on discrete logs in every extension field
+        assert ec.NAIVE_THRESHOLD <= ff._TABLE_MAX
+
 
 class TestBsgsOracle:
     @pytest.mark.parametrize("q", [101, 1009])
@@ -452,6 +456,56 @@ def big_field_samples(count=3):
     rng = crc_rng("orbit-key-samples", 257, 2)
     js = [ctx.from_encoding(rng.randrange(257, ctx.q)) for _ in range(count)]
     return js + [ff.embed(ff.make_field(257, 1).from_int(rng.randrange(257)), ctx)]
+
+
+def orbit_samples(p, k, count=12):
+    """Seeded elements of F_{p^k} and of each proper subfield, embedded."""
+    ctx = ff.make_field(p, k)
+    rng = crc_rng("orbit-samples", p, k)
+    xs = [ctx.from_encoding(rng.randrange(ctx.q)) for _ in range(count)]
+    for d in [e for e in range(1, k) if k % e == 0]:
+        sub = ff.make_field(p, d)
+        xs += [ff.embed(sub.from_encoding(rng.randrange(sub.q)), ctx) for _ in range(3)]
+    return xs + [ctx.zero(), ctx.one()]
+
+
+class TestFrobeniusOrbit:
+    @staticmethod
+    def check(x):
+        orbit = ff.frobenius_orbit(x)
+        k = x.ctx.k
+        # the k conjugates repeat the orbit k / d times, d its length
+        assert k % len(orbit) == 0 and len(set(orbit)) == len(orbit)
+        assert [y.encoding() for y in conjugates(x)] == list(orbit) * (k // len(orbit))
+        assert ff.element_degree(x) == len(orbit)
+
+    @pytest.mark.parametrize("p,k", ORBIT_FIELDS)
+    def test_matches_the_frobenius_walk(self, p, k):
+        for x in ff.enumerate_elements(ff.make_field(p, k)):
+            self.check(x)
+
+    @pytest.mark.parametrize("p,k", [(257, 2), (17, 4), (11, 5)])
+    def test_matches_the_frobenius_walk_above_the_table_cut(self, p, k):
+        assert ff.make_field(p, k).log is None
+        for x in orbit_samples(p, k):
+            self.check(x)
+
+    @pytest.mark.parametrize("p,k", [(29, 1), (7, 3), (13, 2), (5, 4)])
+    def test_trace_classes_walk_encodings(self, p, k, monkeypatch):
+        ctx = ff.make_field(p, k)
+        clear_caches()
+        try:
+            walked = ec.trace_classes(ctx)
+            clear_caches()
+
+            def no_elements(*args):
+                raise AssertionError("trace_classes walked element objects")
+
+            monkeypatch.setattr(ff, "frobenius", no_elements)
+            monkeypatch.setattr(ff, "enumerate_elements", no_elements)
+            assert ec.trace_classes(ctx) == walked
+        finally:
+            clear_caches()
 
 
 class TestOrbitKeys:

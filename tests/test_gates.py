@@ -224,6 +224,58 @@ class TestCycloSupport:
         assert report.conclusion == {"form": "A=B^p^n", "n": 0, "sign": "+"}
 
 
+class TestCulprit:
+    """A failed radical test with no factor to blame is an internal fault in
+    every support gate: InternalInvariant, exit 3, never a gate failure."""
+
+    @pytest.fixture
+    def no_factors(self, monkeypatch):
+        monkeypatch.setattr(pr, "factor_univariate", lambda f: [])
+
+    def test_mult(self, no_factors):
+        with pytest.raises(InternalInvariant):
+            g.mult_support_check(g.RingElementPair(upoly(0, 0, 1), upoly(0, 1)), 8)
+
+    def test_cyclo(self, no_factors):
+        with pytest.raises(InternalInvariant):
+            g.cyclo_support_check(g.RingElementPair(upoly(0, 1), upoly(0, 0, 1)), 8)
+
+    def test_nonsplit_modular(self, no_factors):
+        # -3 is inert at 5: only the supersingular root-set check runs
+        with pytest.raises(InternalInvariant):
+            g.modular_support_check(g.RingElementPair(upoly(0, 1), upoly(1, 1)), [-3])
+
+    @pytest.mark.parametrize("argv", [
+        ["support-mult", "--p", "5", "--A", "t^2", "--B", "t", "--nmax", "8"],
+        ["support-cyclo", "--p", "5", "--A", "t", "--B", "t^2", "--nmax", "8"],
+        ["support-modular", "--p", "5", "--A", "t", "--B", "t+1", "--dmax", "3"],
+    ])
+    def test_cli_exits_3(self, argv, no_factors, capsys):
+        assert cli.run(argv) == 3
+        assert "InternalInvariant" in capsys.readouterr().err
+
+
+class TestSupersingularPolynomial:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_roots_are_the_supersingular_j(self, p, monkeypatch):
+        clear_caches()
+        try:
+            quad = ff.make_field(p, 2)
+            supersingular = [j for j in ff.enumerate_elements(quad) if ec.is_supersingular_j(j)]
+            clear_caches()
+
+            def no_walk(j, fd):
+                raise AssertionError("classified an ordinary j")
+
+            monkeypatch.setattr(er, "_provider_a_uncached", no_walk)
+            S = g._supersingular_polynomial(ff.make_field(p, 1))
+        finally:
+            clear_caches()
+        # monic, of degree their number, and vanishing on each: their product
+        assert S.coeffs[-1] == S.ctx.one() and S.degree() == len(supersingular)
+        assert all(S.lift_to(quad).evaluate(j).is_zero() for j in supersingular)
+
+
 class TestGateMonotonicity:
     def test_pass_verdicts_shrink_monotonically(self):
         # a pass at n_max = 8 implies a pass at any smaller range
