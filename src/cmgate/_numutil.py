@@ -83,23 +83,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def isqrt_exact(n: int) -> int | None:
-    """Integer square root if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = int(n**0.5)
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c * c == n:
-            return c
-    # float seed can be off for big n; fall back to Newton
-    r = n
-    x = (n + 1) // 2
-    while x < r:
-        r = x
-        x = (x + n // x) // 2
-    return r if r * r == n else None
-
-
 def crc_rng(*key) -> random.Random:
     """Deterministic RNG keyed by a stable hash of the arguments.
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .ffield import FieldElement, make_field
 from .polyring import UniPoly
-from ._numutil import crc_rng, factorize, is_prime, isqrt_exact
+from ._numutil import crc_rng, factorize, is_prime
 
 #: roots are collected by a sweep of the root field's trace classes up to
 #: this field size, and by trace-filtered sampling beyond it, up to
@@ -99,9 +99,6 @@ class ReducedForm:
         self.b = b
         self.c = c
 
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
     def as_tuple(self):
         return (self.a, self.b, self.c)
 
@@ -164,10 +161,9 @@ def _representation_traces(D: int, q: int, p: int) -> set[int]:
     w = 1
     while w * w * (-D) <= 4 * q:
         t2 = 4 * q - w * w * (-D)
-        if t2 > 0:
-            t = isqrt_exact(t2)
-            if t is not None and t >= 1 and t % p != 0:
-                out.add(t)
+        t = isqrt(t2)
+        if t * t == t2 and t % p != 0:
+            out.add(t)
         w += 1
     return out
 
@@ -233,17 +229,10 @@ def hilbert_mod_p(D: int, p: int) -> ClassPolynomialModP:
         raise ProviderDisagreement(
             f"H_{D} mod {p}: collected {len(roots)} roots, class number is {h}"
         )
-    root_set = {r.encoding() for r in roots}
-    for r in roots:
-        _require(ffield.frobenius(r).encoding() in root_set, "root set not Galois-stable")
-    poly_big = UniPoly.one(ctx)
-    for r in roots:
-        poly_big = poly_big * UniPoly(ctx, [-r, ctx.one()])
-    prime_field = make_field(p, 1)
-    coeffs = []
-    for c in poly_big.coeffs:
-        coeffs.append(c if ctx.k == 1 else ffield.descend(c, prime_field))
-    poly = UniPoly(prime_field, coeffs)
+    # the roots are distinct, so the product has F_p coefficients exactly
+    # when the root set is Galois-stable
+    poly = UniPoly.from_ints(
+        make_field(p, 1), ffield.conjugate_product(ctx, [r.encoding() for r in roots]))
     _require(poly.gcd(poly.derivative()).degree() == 0, "H_D mod p must be squarefree")
     result = ClassPolynomialModP(D, poly.ctx, poly, ctx, roots)
     return _cache.publish(hilberts, (D, p), result)

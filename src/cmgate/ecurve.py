@@ -127,9 +127,6 @@ class _ResidueLaw:
     def point(self, x: FieldElement, y: FieldElement) -> tuple[int, int]:
         return (x.encoding(), y.encoding())
 
-    def key(self, P):
-        return P
-
     def neg(self, P):
         return None if P is None else (P[0], -P[1] % self.p)
 
@@ -169,9 +166,6 @@ class _LogLaw:
 
     def point(self, x: FieldElement, y: FieldElement) -> tuple[int, int]:
         return (self._log(x), self._log(y))
-
-    def key(self, P):
-        return P
 
     def neg(self, P):
         if P is None or P[1] < 0:
@@ -222,9 +216,6 @@ class _CoeffLaw:
 
     def point(self, x: FieldElement, y: FieldElement) -> tuple:
         return (x.coeffs, y.coeffs)
-
-    def key(self, P):
-        return P
 
     def neg(self, P):
         if P is None:
@@ -407,19 +398,18 @@ def _annihilators(P, law, lo: int, hi: int) -> list[int]:
     consecutive n holds at most one of them.
     """
     m = isqrt(hi - lo) + 1
-    key = law.key
     baby = {}
     Q = None
     for j in range(m):
         if j and Q is None:
             return list(range(-(-lo // j) * j, hi + 1, j))
-        baby[key(Q)] = j
+        baby[Q] = j
         Q = law.add(Q, P)
     mP = Q
     out = []
     R = _ec_mul(lo, P, law)
     for n in range(lo, hi + 1, m):
-        j = baby.get(key(law.neg(R)))
+        j = baby.get(law.neg(R))
         if j is not None and n + j <= hi:
             out.append(n + j)
         R = law.add(R, mP)

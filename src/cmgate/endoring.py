@@ -24,7 +24,6 @@ from . import _cache, ecurve, ffield, polyring
 from .errors import (
     InternalInvariant,
     ProviderDisagreement,
-    SizeExceeded,
     SupersingularInput,
     UnsupportedLevel,
     _require,
@@ -361,48 +360,16 @@ def endo_discriminant(j: FieldElement, hilbert_check: str | bool = "auto") -> CM
 # geometric isogeny
 # ---------------------------------------------------------------------------
 
-class IsogenyVerdict:
-    __slots__ = ("isogenous", "reason", "path")
-
-    def __init__(self, isogenous: bool, reason: str, path=None):
-        self.isogenous = isogenous
-        self.reason = reason
-        self.path = path
-
-    def __bool__(self):
-        return self.isogenous
-
-    def __repr__(self):
-        return f"IsogenyVerdict({self.isogenous}, {self.reason!r})"
-
-
-def geometrically_isogenous(j1: FieldElement, j2: FieldElement) -> IsogenyVerdict:
-    """Whether E_{j1} and E_{j2} are isogenous over the algebraic closure.
-
-    Both supersingular: isogenous.  Mixed: not.  Both ordinary: isogenous
-    exactly when the endomorphism algebras agree, i.e. equal fundamental
-    discriminants; when the full discriminants agree, an explicit
-    horizontal path is attempted as a witness.
-    """
+def geometrically_isogenous(j1: FieldElement, j2: FieldElement) -> bool:
+    """Whether E_{j1} and E_{j2} are isogenous over the algebraic closure:
+    both supersingular, or both ordinary with the same endomorphism algebra,
+    i.e. equal fundamental discriminants.  UnsupportedLevel when an ordinary
+    j cannot be classified."""
     s1 = ecurve.is_supersingular_j(j1)
     s2 = ecurve.is_supersingular_j(j2)
-    if s1 and s2:
-        return IsogenyVerdict(True, "both supersingular")
-    if s1 != s2:
-        return IsogenyVerdict(False, "mixed supersingular/ordinary pair")
-    o1 = endo_discriminant(j1, hilbert_check=False)
-    o2 = endo_discriminant(j2, hilbert_check=False)
-    if o1.d_K != o2.d_K:
-        return IsogenyVerdict(
-            False, f"distinct endomorphism algebras ({o1.d_K} vs {o2.d_K})"
-        )
-    path = None
-    if o1.D == o2.D:
-        try:
-            path = isogeny_path(j1, j2, supported_levels())
-        except (UnsupportedLevel, SizeExceeded):
-            path = None
-    return IsogenyVerdict(True, f"shared endomorphism algebra (d_K={o1.d_K})", path)
+    if s1 or s2:
+        return s1 and s2
+    return provider_a_disc(j1).d_K == provider_a_disc(j2).d_K
 
 
 def isogeny_path(
@@ -466,7 +433,9 @@ def ordinary_disc_map(ctx: FieldCtx, traces=None) -> dict[int, object]:
     One loop over ecurve.trace_classes: a class's |t| decides
     supersingularity, and provider A classifies each ordinary orbit once,
     from its least encoding.  The map itself is not cached, since the
-    classes and provider A's disc store already hold every input.
+    classes and provider A's disc store already hold every input.  Only
+    tests call it without traces: the whole-field map is the reference
+    that the trace-targeted sweep of classpoly is checked against.
     """
     out: dict[int, object] = {}
     for (d, t), orbits in ecurve.trace_classes(ctx).items():

@@ -788,23 +788,26 @@ def _order_is(x: FieldElement, n: int, factors: dict[int, int]) -> bool:
     return all(x ** (n // prime) != x.ctx.one() for prime in factors)
 
 
-def _minpoly_coeffs(x: FieldElement) -> tuple[int, ...]:
-    """Minimal polynomial over F_p (int coefficients, constant first, monic)."""
-    ctx = x.ctx
-    # product of (T - c) over conjugates, computed with field coefficients
+def conjugate_product(ctx: FieldCtx, roots) -> tuple[int, ...]:
+    """The product of T - r over the encodings roots of a Galois-stable set
+    in ctx, as F_p ints, constant first and monic.  A coefficient outside
+    F_p means the set was not Galois-stable: InternalInvariant."""
     poly = [ctx.one()]
-    for c in map(ctx.from_encoding, frobenius_orbit(x)):
+    for c in map(ctx.from_encoding, roots):
         nxt = [ctx.zero() for _ in range(len(poly) + 1)]
         for i, a in enumerate(poly):
             nxt[i + 1] = nxt[i + 1] + a
             nxt[i] = nxt[i] - a * c
         poly = nxt
-    out = []
-    for a in poly:
-        if any(a.coeffs[1:]):
-            raise InternalInvariant("minimal polynomial coefficient left the prime field")
-        out.append(a.coeffs[0])
-    return tuple(out)
+    out = tuple(a.encoding() for a in poly)
+    if any(c >= ctx.p for c in out):
+        raise InternalInvariant(f"a product of T - r left the prime field of {ctx!r}")
+    return out
+
+
+def _minpoly_coeffs(x: FieldElement) -> tuple[int, ...]:
+    """Minimal polynomial over F_p (int coefficients, constant first, monic)."""
+    return conjugate_product(x.ctx, frobenius_orbit(x))
 
 
 def distinguished_generator(ctx: FieldCtx) -> FieldElement:

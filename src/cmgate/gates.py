@@ -22,7 +22,7 @@ from .errors import (
 from .ffield import FieldCtx, FieldElement, make_field
 from .polyring import BiPoly, UniPoly
 
-#: ok-points whose geometric isogeny andre_oort_gate samples
+#: how many ordinary, classifiable points andre_oort_gate samples for geometric isogeny
 ISOGENY_SAMPLES = 3
 #: the largest degree over F_p of a support witness's root field
 WITNESS_DEGREE_MAX = 8
@@ -268,7 +268,8 @@ def andre_oort_gate(
             "falsification sentinel: hypothesis passed the full sweep but the "
             "curve is not a Frobenius-monomial"
         )
-    # annotate the geometric-isogeny conclusion on sampled ok-points
+    # annotate the geometric-isogeny conclusion on the first ISOGENY_SAMPLES
+    # ordinary points whose coordinates can be classified
     sampled = 0
     for k in range(1, k_max + 1):
         if sampled >= ISOGENY_SAMPLES:
@@ -278,9 +279,12 @@ def andre_oort_gate(
                 break
             if ecurve.is_supersingular_j(x) or ecurve.is_supersingular_j(y):
                 continue
-            verdict = endoring.geometrically_isogenous(x, y)
+            try:
+                isogenous = endoring.geometrically_isogenous(x, y)
+            except UnsupportedLevel:
+                continue
             report.bump("isogeny_samples")
-            if not verdict.isogenous:
+            if not isogenous:
                 report.bump("isogeny_sample_failures")
             sampled += 1
     return report
@@ -371,34 +375,38 @@ def _supersingular_polynomial(ctx: FieldCtx) -> UniPoly:
     with t = 0 mod p."""
     p = ctx.p
     quad = make_field(p, 2)
-    prime_field = make_field(p, 1)
     supersingular = [enc for (_, t), orbits in ecurve.trace_classes(quad).items()
                      if t % p == 0 for orbit in orbits for enc in orbit]
-    poly = UniPoly.one(quad)
-    for enc in supersingular:
-        poly = poly * UniPoly(quad, [-quad.from_encoding(enc), quad.one()])
-    coeffs = [ffield.descend(c, prime_field) for c in poly.coeffs]
-    return UniPoly(prime_field, coeffs)
+    return UniPoly.from_ints(make_field(p, 1), ffield.conjugate_product(quad, supersingular))
 
 
-def _culprit(PA: UniPoly, PB: UniPoly) -> UniPoly:
-    """The first irreducible factor of PA that does not divide PB, where
-    the radical of PA was found not to divide PB."""
+def _radical_support(report: GateReport, tag: str, P: UniPoly, pair: RingElementPair,
+                     witness: dict, verify=None, by: int = 1) -> bool:
+    """One case of a support gate: whether rad P(A) divides P(B), counted
+    as tag_pass or tag_fail.  A failure records the witness with the degree
+    of the first irreducible factor of P(A) that does not divide P(B) and,
+    when that factor's root field fits WITNESS_DEGREE_MAX, a root Q, which
+    verify(Q) re-checks before it is recorded."""
+    P = P.lift_to(pair.A.ctx)
+    PA, PB = P.compose(pair.A), P.compose(pair.B)
+    if polyring.radical_divides(PA, PB):
+        report.bump(f"{tag}_pass", by)
+        return True
+    report.bump(f"{tag}_fail", by)
     culprit = next((f for f, _ in polyring.factor_univariate(PA) if not f.divides(PB)), None)
     _require(culprit is not None, "failed radical test without a culprit")
-    return culprit
-
-
-def _witness_root(factor: UniPoly):
-    """A root of an irreducible factor, when its field fits WITNESS_DEGREE_MAX."""
-    d = factor.degree() * factor.ctx.k
-    if d > WITNESS_DEGREE_MAX:
-        return None
+    witness["factor_degree"] = culprit.degree()
+    d = culprit.degree() * culprit.ctx.k
     try:
-        roots = polyring.roots_in(factor, d)
+        roots = polyring.roots_in(culprit, d) if d <= WITNESS_DEGREE_MAX else []
     except SizeExceeded:
-        return None
-    return roots[0] if roots else None
+        roots = []
+    if roots:
+        if verify is not None:
+            verify(roots[0])
+        witness["Q"] = _elt(roots[0])
+    report.witnesses.append(witness)
+    return False
 
 
 def modular_support_check(pair: RingElementPair, D_set) -> GateReport:
@@ -415,7 +423,6 @@ def modular_support_check(pair: RingElementPair, D_set) -> GateReport:
          "D_set": sorted(D_set, reverse=True)},
     )
     split, nonsplit = _admissible_split_discriminants(D_set, p)
-    prime_field = make_field(p, 1)
     for D in split:
         try:
             H = classpoly.hilbert_mod_p(D, p)
@@ -423,42 +430,21 @@ def modular_support_check(pair: RingElementPair, D_set) -> GateReport:
             report.bump("skipped_D")
             report.exceptions.append({"kind": "skipped-D", "D": D, "detail": str(exc)})
             continue
-        HofA = H.poly.lift_to(ctx).compose(A)
-        HofB = H.poly.lift_to(ctx).compose(B)
-        if polyring.radical_divides(HofA, HofB):
-            report.bump("D_pass")
-            continue
-        report.bump("D_fail")
-        culprit = _culprit(HofA, HofB)
-        q_root = _witness_root(culprit)
-        witness = {"kind": "modular-support", "D": D,
-                   "factor_degree": culprit.degree()}
-        if q_root is not None:
-            a_val = A.lift_to(q_root.ctx).evaluate(q_root)
-            b_val = B.lift_to(q_root.ctx).evaluate(q_root)
-            _require(classpoly.hilbert_eval(D, a_val).is_zero(), "witness: H_D(A(Q)) != 0")
-            _require(not classpoly.hilbert_eval(D, b_val).is_zero(), "witness: H_D(B(Q)) = 0")
-            witness["Q"] = _elt(q_root)
-        report.witnesses.append(witness)
-    if nonsplit:
-        ss = _supersingular_polynomial(ctx)
-        SofA = ss.lift_to(ctx).compose(A)
-        SofB = ss.lift_to(ctx).compose(B)
-        if polyring.radical_divides(SofA, SofB):
-            report.bump("nonsplit_rootset_pass", len(nonsplit))
-            report.notes.append(
-                f"{len(nonsplit)} non-split discriminants checked by the "
-                "supersingular root-set method"
-            )
-        else:
-            report.bump("nonsplit_rootset_fail", len(nonsplit))
-            culprit = _culprit(SofA, SofB)
-            witness = {"kind": "supersingular-image",
-                       "D": None, "factor_degree": culprit.degree()}
-            q_root = _witness_root(culprit)
-            if q_root is not None:
-                witness["Q"] = _elt(q_root)
-            report.witnesses.append(witness)
+
+        def verify(Q):
+            _require(classpoly.hilbert_eval(D, A.evaluate(Q)).is_zero(), "witness: H_D(A(Q)) != 0")
+            _require(not classpoly.hilbert_eval(D, B.evaluate(Q)).is_zero(),
+                     "witness: H_D(B(Q)) = 0")
+
+        _radical_support(report, "D", H.poly, pair, {"kind": "modular-support", "D": D}, verify)
+    if nonsplit and _radical_support(
+        report, "nonsplit_rootset", _supersingular_polynomial(ctx), pair,
+        {"kind": "supersingular-image", "D": None}, by=len(nonsplit),
+    ):
+        report.notes.append(
+            f"{len(nonsplit)} non-split discriminants checked by the "
+            "supersingular root-set method"
+        )
     conclusion = _frobenius_power_relation(A, B)
     if conclusion is not None:
         direction, n = conclusion
@@ -492,29 +478,19 @@ def mult_support_check(pair: RingElementPair, n_max: int, n_floor: int = 0) -> G
     for n_floor < n <= n_max; conclusion matched as B^(p^m) = A^k."""
     A, B = pair.A, pair.B
     ctx = A.ctx
-    one = UniPoly.one(ctx)
+    T, one = UniPoly.x(ctx), UniPoly.one(ctx)
     report = GateReport(
         "mult-support-check",
         {"p": ctx.p, "n_floor": n_floor, "n_max": n_max,
          "k_bound": K_BOUND, "m_bound": M_BOUND},
     )
     for n in range(n_floor + 1, n_max + 1):
-        An = A**n - one
-        Bn = B**n - one
-        if polyring.radical_divides(An, Bn):
-            report.bump("n_pass")
-            continue
-        report.bump("n_fail")
-        culprit = _culprit(An, Bn)
-        witness = {"kind": "mult-support", "n": n, "factor_degree": culprit.degree()}
-        q_root = _witness_root(culprit)
-        if q_root is not None:
-            a_val = A.lift_to(q_root.ctx).evaluate(q_root)
-            b_val = B.lift_to(q_root.ctx).evaluate(q_root)
-            _require((a_val**n) == q_root.ctx.one(), "witness: A(Q)^n != 1")
-            _require((b_val**n) != q_root.ctx.one(), "witness: B(Q)^n = 1")
-            witness["Q"] = _elt(q_root)
-        report.witnesses.append(witness)
+
+        def verify(Q):
+            _require(A.evaluate(Q) ** n == Q.ctx.one(), "witness: A(Q)^n != 1")
+            _require(B.evaluate(Q) ** n != Q.ctx.one(), "witness: B(Q)^n = 1")
+
+        _radical_support(report, "n", T**n - one, pair, {"kind": "mult-support", "n": n}, verify)
     conclusion = _power_relation_scan(A, B)
     if conclusion is not None:
         report.conclusion = {"k": conclusion[0], "m": conclusion[1]}
@@ -566,21 +542,12 @@ def cyclo_support_check(pair: RingElementPair, n_max: int, n_floor: int = 0) -> 
         if n % ctx.p == 0:
             report.bump("n_skipped_char")
             continue
-        psi = ordertools.cyclotomic_polynomial(n, make_field(ctx.p, 1)).lift_to(ctx)
-        PA = psi.compose(A)
-        PB = psi.compose(B)
-        if polyring.radical_divides(PA, PB):
-            report.bump("n_pass")
-            continue
-        report.bump("n_fail")
-        culprit = _culprit(PA, PB)
-        witness = {"kind": "cyclo-support", "n": n, "factor_degree": culprit.degree()}
-        q_root = _witness_root(culprit)
-        if q_root is not None:
-            a_val = A.lift_to(q_root.ctx).evaluate(q_root)
-            _require(ffield.multiplicative_order(a_val) == n, "witness: ord A(Q) != n")
-            witness["Q"] = _elt(q_root)
-        report.witnesses.append(witness)
+
+        def verify(Q):
+            _require(ffield.multiplicative_order(A.evaluate(Q)) == n, "witness: ord A(Q) != n")
+
+        _radical_support(report, "n", ordertools.cyclotomic_polynomial(n, make_field(ctx.p, 1)),
+                         pair, {"kind": "cyclo-support", "n": n}, verify)
     direction = _frobenius_power_relation(A, B)
     if direction is not None:
         report.conclusion = {"form": direction[0], "n": direction[1], "sign": "+"}

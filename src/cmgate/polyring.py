@@ -742,25 +742,14 @@ def roots_in(f: UniPoly, k: int) -> list[FieldElement]:
     return roots
 
 
-def radical(f: UniPoly) -> UniPoly:
-    """Product of the distinct monic irreducible factors of f."""
-    if f.is_zero():
-        raise ZeroPolynomial("the zero polynomial has no radical")
-    acc = UniPoly.one(f.ctx)
-    for part, _ in squarefree_decomposition(f):
-        acc = acc * part
-    return acc
-
-
 def radical_divides(f: UniPoly, g: UniPoly) -> bool:
-    """True iff every monic irreducible factor of f divides g."""
+    """True iff every monic irreducible factor of f divides g: iff each
+    squarefree part of f does, since the parts are pairwise coprime."""
     if f.is_zero():
         raise ZeroPolynomial("hypothesis quantifies over divisors of a nonzero element")
     if g.is_zero():
         return True
-    if f.is_constant():
-        return True
-    return radical(f).divides(g)
+    return all(part.divides(g) for part, _ in squarefree_decomposition(f))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from cmgate import polyring
 from cmgate.acceptance import _admissible_primes
 from cmgate.errors import (
     BothZero,
+    InternalInvariant,
     NotADiscriminant,
     PDividesD,
     PInert,
@@ -81,7 +82,7 @@ class TestReducedForms:
     def test_forms_have_right_discriminant(self):
         for D in (-15, -20, -23, -56, -71):
             for form in cp.reduced_forms(D):
-                assert form.discriminant() == D
+                assert form.b * form.b - 4 * form.a * form.c == D
 
     def test_class_numbers_match_classical_tables(self):
         for D, h in KNOWN_CLASS_NUMBERS.items():
@@ -213,6 +214,26 @@ class TestDegreeLawFaults:
         try:
             with pytest.raises(ProviderDisagreement, match="class number is 2"):
                 cp.hilbert_mod_p(D, p)
+        finally:
+            clear_caches()
+
+    def test_a_root_set_that_is_not_galois_stable_is_an_internal_fault(self, monkeypatch):
+        # H_-15 mod 17 has the conjugate roots r, r^17 in F_{17^2}: with r^17
+        # swapped for another j of degree 2 the count still matches the class
+        # number, but the product of the T - r leaves F_17
+        clear_caches()
+        sweep = cp._collect_roots_sweep
+
+        def swapped(D, p, m, h):
+            r, conjugate = sweep(D, p, m, h)
+            other = next(x for x in ff.enumerate_elements(r.ctx)
+                         if ff.element_degree(x) == 2 and x not in (r, conjugate))
+            return [r, other]
+
+        monkeypatch.setattr(cp, "_collect_roots_sweep", swapped)
+        try:
+            with pytest.raises(InternalInvariant):
+                cp.hilbert_mod_p(-15, 17)
         finally:
             clear_caches()
 

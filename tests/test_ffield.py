@@ -7,6 +7,7 @@ from cmgate.errors import (
     CompositeP,
     ContextMismatch,
     DivisionByZero,
+    InternalInvariant,
     NotASubfield,
     ZeroElement,
 )
@@ -438,3 +439,15 @@ class TestElementDegree:
         for x in xs:
             least = next(d for d in range(1, k + 1) if x ** (p**d) == x)
             assert ff.element_degree(x) == least
+
+
+class TestConjugateProduct:
+    @pytest.mark.parametrize("p,k", [(5, 4), (7, 3), (17, 4)])
+    def test_orbit_of_the_generator_gives_the_modulus(self, p, k):
+        ctx = ff.make_field(p, k)
+        assert ff.conjugate_product(ctx, ff.frobenius_orbit(ctx.gen())) == ctx.modulus
+
+    def test_a_set_that_is_not_galois_stable_is_an_internal_fault(self):
+        ctx = ff.make_field(7, 3)
+        with pytest.raises(InternalInvariant):
+            ff.conjugate_product(ctx, [ctx.gen().encoding()])

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cmgate import classpoly as cp
@@ -121,6 +123,17 @@ class TestAndreOortGate:
         assert report.conclusion is None
         assert not report.sentinel
 
+    def test_unclassifiable_points_are_not_sampled(self, capsys):
+        # j = 92 over F_223 has the conductor prime 17, beyond the vendored
+        # levels: the sweep reports its ordinary points as skipped, and the
+        # isogeny annotation passes over them instead of raising
+        argv = ["--format", "json", "ao-gate", "--p", "223", "--curve", "X - 92", "--kmax", "1"]
+        assert cli.run(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "inconclusive"
+        assert out["timings"]["work"] == {
+            "points": 223, "skipped": 216, "supersingular_exceptions": 7}
+
 
 class TestMultHypothesis:
     def test_frobenius_curve_equal_orders(self):
@@ -172,6 +185,12 @@ class TestModularSupport:
         report = g.modular_support_check(pair, self.D_SET)
         assert report.verdict == "fail"
         assert any("Q" in w for w in report.witnesses)
+
+    def test_witness_root_is_reverified(self, monkeypatch):
+        # a root Q with H_D(A(Q)) != 0 is an internal fault, never a witness
+        monkeypatch.setattr(cp, "hilbert_eval", lambda D, x: x.ctx.one())
+        with pytest.raises(InternalInvariant, match="H_D"):
+            g.modular_support_check(g.RingElementPair(upoly(0, 1), upoly(1, 1)), self.D_SET)
 
     def test_equal_pair(self):
         pair = g.RingElementPair(upoly(0, 1), upoly(0, 1))
@@ -274,6 +293,27 @@ class TestSupersingularPolynomial:
         # monic, of degree their number, and vanishing on each: their product
         assert S.coeffs[-1] == S.ctx.one() and S.degree() == len(supersingular)
         assert all(S.lift_to(quad).evaluate(j).is_zero() for j in supersingular)
+
+    def test_a_lost_conjugate_is_an_internal_fault(self, monkeypatch, capsys):
+        # F_{37^2} holds one supersingular orbit of degree 2, (521, 854): trace
+        # classes that keep one conjugate give a product outside F_37, an
+        # internal fault (exit 3), not a usage error (exit 2)
+        quad = ff.make_field(37, 2)
+        classes = ec.trace_classes
+
+        def one_conjugate(ctx):
+            found = classes(ctx)
+            if ctx is not quad:
+                return found
+            return {key: [orbit[:1] if orbit == (521, 854) else orbit for orbit in orbits]
+                    for key, orbits in found.items()}
+
+        monkeypatch.setattr(ec, "trace_classes", one_conjugate)
+        with pytest.raises(InternalInvariant):
+            g._supersingular_polynomial(ff.make_field(37, 1))
+        argv = ["support-modular", "--p", "37", "--A", "t", "--B", "t+1", "--dmax", "8"]
+        assert cli.run(argv) == 3
+        assert "InternalInvariant" in capsys.readouterr().err
 
 
 class TestGateMonotonicity:

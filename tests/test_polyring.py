@@ -309,6 +309,9 @@ class TestRadicalDivides:
         f = U(F5, -1, 1) * U(F5, -2, 1)
         g = U(F5, -1, 1) * U(F5, -1, 1)
         assert not pr.radical_divides(f, g)
+        # missing from a squarefree part after the first: multiplicity 2, and p
+        for e in (2, 5):
+            assert not pr.radical_divides(U(F5, -1, 1) * U(F5, -2, 1) ** e, g)
 
     def test_irreducible_divisor(self):
         q = U(F5, 2, 0, 1)

@@ -7,7 +7,6 @@ it, thread safety of the shared caches, that every cache lives in
 import ast
 import os
 import pathlib
-import re
 import shutil
 import sys
 import threading
@@ -279,40 +278,41 @@ class TestNoDeadDefinitions:
         "FieldElement.lift": "reads a prime-field element as an int in tests",
         "EllipticCurve.base_change": "the base-change invariance test",
         "reference_table": "the vendored H_D oracle the tests compare against",
+        "rational_roots": "the UniPoly entry to kernel_rational_roots that the "
+                          "root-finding differential tests drive",
     }
 
     @staticmethod
     def definitions(tree):
-        """(qualified name, line) of module-level functions and classes and
-        of their methods, dunders excluded."""
+        """Qualified names of module-level functions and classes and of
+        their methods, dunders excluded."""
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield node.name, node.lineno
+                yield node.name
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not (
                         sub.name.startswith("__") and sub.name.endswith("__")
                     ):
-                        yield f"{node.name}.{sub.name}", sub.lineno
+                        yield f"{node.name}.{sub.name}"
 
     def test_every_definition_is_used(self):
-        # each name must occur as a word somewhere in the package other than
-        # on its own definition line
-        lines = {
-            path: path.read_text().splitlines()
-            for path in sorted(self.PACKAGE.glob("*.py"))
-        }
-        unused = []
-        for path, body in lines.items():
-            for qualname, lineno in self.definitions(ast.parse("\n".join(body))):
-                word = re.compile(rf"\b{re.escape(qualname.rsplit('.', 1)[-1])}\b")
-                if not any(
-                    word.search(line)
-                    for other, other_body in lines.items()
-                    for n, line in enumerate(other_body, 1)
-                    if not (other == path and n == lineno)
-                ):
-                    unused.append(qualname)
+        # each name must be read somewhere in the package code, as a name or
+        # an attribute (f-strings included), not merely mentioned in prose
+        trees = {path: ast.parse(path.read_text()) for path in sorted(self.PACKAGE.glob("*.py"))}
+        used = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        unused = [
+            qualname
+            for tree in trees.values()
+            for qualname in self.definitions(tree)
+            if qualname.rsplit(".", 1)[-1] not in used
+        ]
         assert sorted(unused) == sorted(self.TEST_REFERENCE_APIS)
 
 
