@@ -7,6 +7,8 @@ no result that the data could change, and are shared.  Per-j results (the
 trace, provider A's discriminant, provider B's confirmed roots) are keyed
 by (p, k, least encoding in j's Frobenius orbit), for j in its minimal
 field F_{p^k}; the neighbours of a volcano vertex stay keyed by the vertex.
+Field contexts hold no lazy state: a field's distinguished generator and its
+embedding matrices are stores here too, so clear_caches() drops them.
 One lock policy: look up without the lock, compute outside it, and `publish`
 by setdefault under the module lock, so that racing first calls get the
 same object.

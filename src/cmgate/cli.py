@@ -9,15 +9,16 @@ The timings field carries deterministic work counters rather than wall-clock
 numbers, so the whole JSON byte stream is reproducible across runs and
 processes, which the selftest checks.  Exit codes: 0 pass/success, 1 gate
 fail (witnesses in the report), 2 usage error, 3 internal consistency
-sentinel.
+sentinel, 141 stdout closed by its reader.  The commands only compute; run()
+alone writes their output and maps their verdict to the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import classpoly, endoring
 from .errors import (
@@ -31,13 +32,11 @@ from .errors import (
 from .ffield import FieldElement, make_field
 from .polyring import BiPoly, UniPoly
 
-if TYPE_CHECKING:
-    from .gates import GateReport, PlaneCurve, RingElementPair
-
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SENTINEL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 # ---------------------------------------------------------------------------
@@ -186,62 +185,69 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _payload(args, command: str, verdict: str, result: dict,
-             witnesses=None, exceptions=None, bounds=None, counters=None) -> dict:
+def _payload(args, verdict: str, result: dict, report=None) -> dict:
+    """The fixed-schema document; a gate report fills witnesses, exceptions,
+    bounds and the work counters."""
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    d = report.as_dict() if report is not None else {
+        "witnesses": [], "exceptions": [], "bounds": {}, "counters": {}}
     return {
-        "command": command,
+        "command": args.command,
         "config": config,
         "verdict": verdict,
-        "witnesses": witnesses or [],
-        "exceptions": exceptions or [],
-        "bounds": bounds or {},
-        "timings": {"work": dict(sorted((counters or {}).items()))},
+        "witnesses": d["witnesses"],
+        "exceptions": d["exceptions"],
+        "bounds": d["bounds"],
+        "timings": {"work": d["counters"]},
         "result": result,
     }
 
 
-def _report_payload(args, command: str, report: GateReport) -> dict:
-    d = report.as_dict()
-    result = {"conclusion": d["conclusion"], "notes": d["notes"], "sentinel": d["sentinel"]}
-    return _payload(
-        args, command, d["verdict"], result,
-        witnesses=d["witnesses"], exceptions=d["exceptions"],
-        bounds=d["bounds"], counters=d["counters"],
-    )
+def _report(report):
+    """A gates.GateReport as a command's (verdict, result, text lines)."""
+    result = {"conclusion": report.conclusion, "notes": report.notes,
+              "sentinel": report.sentinel}
+    lines = [f"{report.gate}: {report.verdict}"]
+    if report.conclusion:
+        lines.append(f"conclusion: {report.conclusion}")
+    lines += [f"witness: {w}" for w in report.witnesses[:10]]
+    lines += [f"note: {note}" for note in report.notes]
+    lines.append(f"counters: {dict(sorted(report.counters.items()))}")
+    return report.verdict, result, lines
 
 
-def _report_exit(report: GateReport) -> int:
-    if report.sentinel:
-        return EXIT_SENTINEL
-    return EXIT_FAIL if report.verdict == "fail" else EXIT_PASS
+def _curve(args):
+    """The lazily imported gates module and the plane curve --curve over F_p."""
+    from . import gates
+
+    return gates, gates.PlaneCurve(parse_curve(args.curve, make_field(args.p, 1)))
 
 
-def _field_element(args, ctx):
-    return ctx.from_encoding(args.j)
+def _pair(args):
+    """The lazily imported gates module and the ring elements --A, --B over F_p."""
+    from . import gates
 
-
-def _discriminant_range(d_max: int):
-    return [D for D in range(-3, -d_max - 1, -1) if D % 4 in (0, 1)]
+    ctx = make_field(args.p, 1)
+    return gates, gates.RingElementPair(
+        parse_ring_element(args.A, ctx), parse_ring_element(args.B, ctx))
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (verdict, result, text lines) or a gates.GateReport;
+# run() writes the output and picks the exit code
 # ---------------------------------------------------------------------------
 
-def _cmd_kronecker(args) -> int:
+def _cmd_kronecker(args):
     value = classpoly.kronecker(args.a, args.n)
-    _emit(args, _payload(args, "kronecker", "pass", {"value": value}), [str(value)])
-    return EXIT_PASS
+    return "pass", {"value": value}, [str(value)]
 
 
-def _cmd_class_number(args) -> int:
+def _cmd_class_number(args):
     h = classpoly.class_number(args.D)
-    _emit(args, _payload(args, "class-number", "pass", {"h": h}), [str(h)])
-    return EXIT_PASS
+    return "pass", {"h": h}, [str(h)]
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args):
     H = classpoly.hilbert_mod_p(args.D, args.p)
     coeffs = [c.coeffs[0] for c in H.poly.coeffs]
     result = {
@@ -249,83 +255,62 @@ def _cmd_hilbert(args) -> int:
         "root_field_degree": H.root_ctx.k,
         "roots": [_elt(r) for r in H.roots],
     }
-    text = [f"H_{args.D} mod {args.p}: coeffs (constant first) {coeffs}"]
-    _emit(args, _payload(args, "hilbert", "pass", result), text)
-    return EXIT_PASS
+    return "pass", result, [f"H_{args.D} mod {args.p}: coeffs (constant first) {coeffs}"]
 
 
-def _cmd_endo_disc(args) -> int:
-    ctx = make_field(args.p, args.k)
-    j = _field_element(args, ctx)
+def _cmd_endo_disc(args):
+    j = make_field(args.p, args.k).from_encoding(args.j)
     order = endoring.endo_discriminant(j, hilbert_check=args.hilbert_check)
     result = {"D": order.D, "d_K": order.d_K, "f": order.f}
-    _emit(args, _payload(args, "endo-disc", "pass", result),
-          [f"D = {order.D} (d_K = {order.d_K}, conductor {order.f})"])
-    return EXIT_PASS
+    return "pass", result, [f"D = {order.D} (d_K = {order.d_K}, conductor {order.f})"]
 
 
-def _cmd_find_disc(args) -> int:
+def _cmd_find_disc(args):
     D = classpoly.find_test_discriminant(args.ell, args.p, args.dmin)
-    _emit(args, _payload(args, "find-disc", "pass", {"D": D}), [str(D)])
-    return EXIT_PASS
+    return "pass", {"D": D}, [str(D)]
 
 
-def _cmd_inert_check(args) -> int:
+def _cmd_inert_check(args):
     ok = classpoly.inert_obstruction_check(args.D, args.ell, args.p)
-    verdict = "pass" if ok else "fail"
-    _emit(args, _payload(args, "inert-check", verdict, {"no_edges": ok}),
-          [f"{'no' if ok else 'FOUND'} Phi_{args.ell} edge among H_{args.D} mod {args.p} roots"])
-    return EXIT_PASS if ok else EXIT_FAIL
+    return ("pass" if ok else "fail"), {"no_edges": ok}, [
+        f"{'no' if ok else 'FOUND'} Phi_{args.ell} edge among H_{args.D} mod {args.p} roots"]
 
 
-def _cmd_volcano(args) -> int:
-    ctx = make_field(args.p, args.k)
-    level, depth = endoring.volcano_level(_field_element(args, ctx), args.ell)
-    _emit(args, _payload(args, "volcano", "pass", {"level": level, "depth": depth}),
-          [f"level {level}, depth {depth}"])
-    return EXIT_PASS
+def _cmd_volcano(args):
+    j = make_field(args.p, args.k).from_encoding(args.j)
+    level, depth = endoring.volcano_level(j, args.ell)
+    return "pass", {"level": level, "depth": depth}, [f"level {level}, depth {depth}"]
 
 
-def _cmd_neighbors(args) -> int:
-    ctx = make_field(args.p, args.k)
-    nbs = endoring.isogenous_neighbors(_field_element(args, ctx), args.ell)
+def _cmd_neighbors(args):
+    j = make_field(args.p, args.k).from_encoding(args.j)
+    nbs = endoring.isogenous_neighbors(j, args.ell)
     result = {"neighbors": [{"j": _elt(w), "multiplicity": m} for w, m in nbs]}
-    text = [f"deg {w.ctx.k} enc {w.encoding()} (x{m})" for w, m in nbs]
-    _emit(args, _payload(args, "neighbors", "pass", result), text)
-    return EXIT_PASS
+    return "pass", result, [f"deg {w.ctx.k} enc {w.encoding()} (x{m})" for w, m in nbs]
 
 
-def _cmd_isogeny_path(args) -> int:
+def _cmd_isogeny_path(args):
     ctx = make_field(args.p, args.k)
-    j1 = ctx.from_encoding(args.j1)
-    j2 = ctx.from_encoding(args.j2)
     levels = tuple(int(tok) for tok in args.levels.split(","))
-    path = endoring.isogeny_path(j1, j2, levels)
-    found = path is not None
-    result = {
-        "found": found,
-        "path": None if path is None else [
-            {"level": lv, "j": _elt(w)} for lv, w in path
-        ],
-    }
-    text = ["no path found" if not found else
-            " -> ".join([f"{args.j1}"] + [f"[{lv}] {w.encoding()}" for lv, w in path])]
-    _emit(args, _payload(args, "isogeny-path", "pass" if found else "fail", result), text)
-    return EXIT_PASS if found else EXIT_FAIL
+    path = endoring.isogeny_path(
+        ctx.from_encoding(args.j1), ctx.from_encoding(args.j2), levels)
+    if path is None:
+        return "fail", {"found": False, "path": None}, ["no path found"]
+    result = {"found": True, "path": [{"level": lv, "j": _elt(w)} for lv, w in path]}
+    return "pass", result, [
+        " -> ".join([f"{args.j1}"] + [f"[{lv}] {w.encoding()}" for lv, w in path])]
 
 
-def _cmd_cyclotomic(args) -> int:
+def _cmd_cyclotomic(args):
     from . import ordertools
 
-    ctx = make_field(args.p, 1)
-    psi = ordertools.cyclotomic_polynomial(args.n, ctx)
+    psi = ordertools.cyclotomic_polynomial(args.n, make_field(args.p, 1))
     coeffs = [c.coeffs[0] for c in psi.coeffs]
-    _emit(args, _payload(args, "cyclotomic", "pass", {"coeffs": coeffs}),
-          [f"Psi_{args.n} mod {args.p}: coeffs (constant first) {coeffs}"])
-    return EXIT_PASS
+    return "pass", {"coeffs": coeffs}, [
+        f"Psi_{args.n} mod {args.p}: coeffs (constant first) {coeffs}"]
 
 
-def _cmd_galois_threshold(args) -> int:
+def _cmd_galois_threshold(args):
     from . import ordertools
 
     report = ordertools.stabilization_threshold(args.ell, args.p, args.mmax)
@@ -334,150 +319,74 @@ def _cmd_galois_threshold(args) -> int:
         "single exponents are verifiable; the infinitude of suitable "
         "Galois elements is outside computational reach"
     )
-    _emit(args, _payload(args, "galois-threshold", "pass", result),
-          [f"degrees {report.degrees}", f"threshold {report.threshold}"])
-    return EXIT_PASS
+    return "pass", result, [f"degrees {report.degrees}", f"threshold {report.threshold}"]
 
 
-def _cmd_curve_points(args) -> int:
-    from . import gates
-
-    ctx = make_field(args.p, 1)
-    curve = gates.PlaneCurve(parse_curve(args.curve, ctx))
+def _cmd_curve_points(args):
+    gates, curve = _curve(args)
     pts = list(gates.enumerate_curve_points(curve, args.k))
     result = {"count": len(pts),
               "points": [{"x": _elt(x), "y": _elt(y)} for x, y in pts]}
-    text = [f"{len(pts)} points over F_{args.p}^{args.k}"] + [
+    return "pass", result, [f"{len(pts)} points over F_{args.p}^{args.k}"] + [
         f"({x.encoding()}, {y.encoding()})" for x, y in pts
     ]
-    _emit(args, _payload(args, "curve-points", "pass", result), text)
-    return EXIT_PASS
 
 
-def _curve_from_args(args) -> PlaneCurve:
-    from . import gates
-
-    ctx = make_field(args.p, 1)
-    return gates.PlaneCurve(parse_curve(args.curve, ctx))
+def _cmd_ao_gate(args):
+    gates, curve = _curve(args)
+    return gates.andre_oort_gate(curve, args.kmax, witness_limit=args.witness_limit)
 
 
-def _cmd_ao_gate(args) -> int:
-    from . import gates
-
-    curve = _curve_from_args(args)
-    report = gates.andre_oort_gate(
-        curve, args.kmax, witness_limit=args.witness_limit
-    )
-    _emit(args, _report_payload(args, "ao-gate", report),
-          _gate_text(report))
-    return _report_exit(report)
+def _cmd_mult_gate(args):
+    gates, curve = _curve(args)
+    return gates.check_mult_hypothesis(
+        curve, args.kmax, mode=args.mode, witness_limit=args.witness_limit)
 
 
-def _cmd_mult_gate(args) -> int:
-    from . import gates
-
-    curve = _curve_from_args(args)
-    report = gates.check_mult_hypothesis(
-        curve, args.kmax, mode=args.mode, witness_limit=args.witness_limit
-    )
-    _emit(args, _report_payload(args, "mult-gate", report), _gate_text(report))
-    return _report_exit(report)
-
-
-def _cmd_subgroup_detect(args) -> int:
-    from . import gates
-
-    curve = _curve_from_args(args)
+def _cmd_subgroup_detect(args):
+    gates, curve = _curve(args)
     form = gates.detect_subgroup_form(curve)
     if form is None:
-        result = {"form": None}
-        text = ["no monomial subgroup form"]
-    else:
-        a, b, zeta = form
-        result = {"form": {"a": a, "b": b, "zeta": _elt(zeta)}}
-        text = [f"X^{a} * Y^{b} = element enc {zeta.encoding()}"]
-    _emit(args, _payload(args, "subgroup-detect", "pass", result), text)
-    return EXIT_PASS
+        return "pass", {"form": None}, ["no monomial subgroup form"]
+    a, b, zeta = form
+    return "pass", {"form": {"a": a, "b": b, "zeta": _elt(zeta)}}, [
+        f"X^{a} * Y^{b} = element enc {zeta.encoding()}"]
 
 
-def _pair_from_args(args) -> RingElementPair:
-    from . import gates
-
-    ctx = make_field(args.p, 1)
-    return gates.RingElementPair(
-        parse_ring_element(args.A, ctx), parse_ring_element(args.B, ctx)
-    )
+def _cmd_support_modular(args):
+    gates, pair = _pair(args)
+    D_set = [D for D in range(-3, -args.dmax - 1, -1) if D % 4 in (0, 1)]
+    return gates.modular_support_check(pair, D_set)
 
 
-def _cmd_support_modular(args) -> int:
-    from . import gates
-
-    pair = _pair_from_args(args)
-    report = gates.modular_support_check(pair, _discriminant_range(args.dmax))
-    _emit(args, _report_payload(args, "support-modular", report), _gate_text(report))
-    return _report_exit(report)
+def _cmd_support_mult(args):
+    gates, pair = _pair(args)
+    return gates.mult_support_check(pair, args.nmax, n_floor=args.n0)
 
 
-def _cmd_support_mult(args) -> int:
-    from . import gates
-
-    pair = _pair_from_args(args)
-    report = gates.mult_support_check(pair, args.nmax, n_floor=args.n0)
-    _emit(args, _report_payload(args, "support-mult", report), _gate_text(report))
-    return _report_exit(report)
+def _cmd_support_cyclo(args):
+    gates, pair = _pair(args)
+    return gates.cyclo_support_check(pair, args.nmax, n_floor=args.n0)
 
 
-def _cmd_support_cyclo(args) -> int:
-    from . import gates
-
-    pair = _pair_from_args(args)
-    report = gates.cyclo_support_check(pair, args.nmax, n_floor=args.n0)
-    _emit(args, _report_payload(args, "support-cyclo", report), _gate_text(report))
-    return _report_exit(report)
-
-
-def _cmd_construct_points(args) -> int:
-    from . import gates
-
-    curve = _curve_from_args(args)
+def _cmd_construct_points(args):
+    gates, curve = _curve(args)
     witnesses = gates.construct_frobenius_points(curve, args.nmax, args.count)
-    result = {"witnesses": [w.as_dict() for w in witnesses]}
-    verdict = "pass" if witnesses else "fail"
     text = [
         f"n={w.n} y_enc={w.y.encoding()} (deg {w.y.ctx.k}) order={w.shared_order} "
         f"cm={'-' if w.shared_cm is None else w.shared_cm.D} [{w.cm_status}]"
         for w in witnesses
     ] or ["no witness within the bound"]
-    _emit(args, _payload(args, "construct-points", verdict, result), text)
-    return EXIT_PASS if witnesses else EXIT_FAIL
+    return ("pass" if witnesses else "fail"), {"witnesses": [w.as_dict() for w in witnesses]}, text
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     from . import acceptance
 
-    chosen = None
-    if args.criteria:
-        chosen = [int(tok) for tok in args.criteria.split(",")]
+    chosen = [int(tok) for tok in args.criteria.split(",")] if args.criteria else None
     results = acceptance.run_all(chosen)
-    payload = _payload(
-        args, "selftest",
-        "pass" if all(r.passed for r in results) else "fail",
-        {"criteria": [r.as_dict() for r in results]},
-    )
-    _emit(args, payload, [r.line() for r in results])
-    return EXIT_PASS if all(r.passed for r in results) else EXIT_FAIL
-
-
-def _gate_text(report: GateReport):
-    lines = [f"{report.gate}: {report.verdict}"]
-    if report.conclusion:
-        lines.append(f"conclusion: {report.conclusion}")
-    for w in report.witnesses[:10]:
-        lines.append(f"witness: {w}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    lines.append(f"counters: {dict(sorted(report.counters.items()))}")
-    return lines
+    verdict = "pass" if all(r.passed for r in results) else "fail"
+    return verdict, {"criteria": [r.as_dict() for r in results]}, [r.line() for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +529,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        return args.func(args)
+        out = args.func(args)
     except (ProviderDisagreement, InternalInvariant, AssertionError) as exc:
         return _fail(args, exc, EXIT_SENTINEL,
                      f"internal sentinel: {type(exc).__name__}: {exc}")
@@ -630,6 +539,12 @@ def run(argv=None) -> int:
         return _fail(args, exc, EXIT_USAGE, f"error: {type(exc).__name__}: {exc}")
     except ValueError as exc:
         return _fail(args, exc, EXIT_USAGE, f"error: {exc}")
+    report = None if isinstance(out, tuple) else out
+    verdict, result, text = out if report is None else _report(report)
+    _emit(args, _payload(args, verdict, result, report), text)
+    if report is not None and report.sentinel:
+        return EXIT_SENTINEL
+    return EXIT_FAIL if verdict == "fail" else EXIT_PASS
 
 
 def _fail(args, exc: Exception, code: int, line: str) -> int:
@@ -637,13 +552,21 @@ def _fail(args, exc: Exception, code: int, line: str) -> int:
     fixed-schema document with verdict "error" on stdout."""
     if args.format == "json":
         result = {"error": type(exc).__name__, "message": str(exc)}
-        _emit(args, _payload(args, args.command, "error", result), [])
+        _emit(args, _payload(args, "error", result), [])
     print(line, file=sys.stderr)
     return code
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit as a writer that SIGPIPE ended, and
+        # point fd 1 at the null device so shutdown's flush prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

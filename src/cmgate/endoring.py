@@ -363,13 +363,14 @@ def endo_discriminant(j: FieldElement, hilbert_check: str | bool = "auto") -> CM
 def geometrically_isogenous(j1: FieldElement, j2: FieldElement) -> bool:
     """Whether E_{j1} and E_{j2} are isogenous over the algebraic closure:
     both supersingular, or both ordinary with the same endomorphism algebra,
-    i.e. equal fundamental discriminants.  UnsupportedLevel when an ordinary
-    j cannot be classified."""
+    i.e. equal fundamental discriminants, which the trace gives: d_K is the
+    fundamental part of t^2 - 4q."""
     s1 = ecurve.is_supersingular_j(j1)
     s2 = ecurve.is_supersingular_j(j2)
     if s1 or s2:
         return s1 and s2
-    return provider_a_disc(j1).d_K == provider_a_disc(j2).d_K
+    return (split_discriminant(ecurve.trace_of_j(j1).d_pi)[0]
+            == split_discriminant(ecurve.trace_of_j(j2).d_pi)[0])
 
 
 def isogeny_path(

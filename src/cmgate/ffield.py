@@ -35,7 +35,6 @@ short Weierstrass models.
 
 from __future__ import annotations
 
-import threading
 from math import gcd
 from typing import Iterator
 
@@ -190,14 +189,13 @@ class FieldCtx:
     """The canonical model of F_{p^k}.  Use make_field; do not construct directly.
 
     This class serves fields with q > _TABLE_MAX, whose elements are
-    power-basis tuples; _TableCtx serves the smaller ones.  Immutable after
-    construction; internal caches are guarded by a lock.
+    power-basis tuples; _TableCtx serves the smaller ones.  Immutable once
+    built: the factors of q - 1 and the Frobenius matrix are computed here,
+    and results derived later (distinguished generators, embeddings) live in
+    `_cache` stores.
     """
 
-    __slots__ = (
-        "p", "k", "q", "modulus", "_red", "_lock", "_qm1_factors",
-        "_dist_gen", "_frob_rows", "_embed_cache",
-    )
+    __slots__ = ("p", "k", "q", "modulus", "_red", "qm1_factors", "frob_rows")
 
     # discrete-log tables; only _TableCtx has them
     exp = log = None
@@ -220,11 +218,9 @@ class FieldCtx:
             cur = nxt
             rows.append(tuple(cur))
         self._red = tuple(rows)
-        self._lock = threading.RLock()
-        self._qm1_factors = None
-        self._dist_gen = None
-        self._frob_rows = None
-        self._embed_cache = {}
+        self.qm1_factors = factorize(self.q - 1)
+        # the matrix of x -> x^p in the power basis: row i = (T^i)^p
+        self.frob_rows = tuple(self._pow_coeffs(_decode(p**i, p, k), p) for i in range(k))
 
     # -- element constructors -------------------------------------------------
 
@@ -303,10 +299,9 @@ class FieldCtx:
         return conj, norm[0]
 
     def _frob_coeffs(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        """a^p through the cached Frobenius matrix."""
-        rows = self.frobenius_rows()
+        """a^p through the Frobenius matrix."""
         out = [0] * self.k
-        for ci, row in zip(a, rows):
+        for ci, row in zip(a, self.frob_rows):
             if ci:
                 for idx, r in enumerate(row):
                     out[idx] += ci * r
@@ -322,27 +317,6 @@ class FieldCtx:
             if e:
                 a = self._mul_coeffs(a, a)
         return result
-
-    def _factors_qm1(self) -> dict[int, int]:
-        if self._qm1_factors is None:
-            with self._lock:
-                if self._qm1_factors is None:
-                    self._qm1_factors = factorize(self.q - 1)
-        return self._qm1_factors
-
-    def frobenius_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Matrix of x -> x^p in the power basis (row i = (g^i)^p)."""
-        if self._frob_rows is None:
-            with self._lock:
-                if self._frob_rows is None:
-                    rows = []
-                    for i in range(self.k):
-                        v = [0] * self.k
-                        v[i] = 1
-                        e = _PolyElement(self, tuple(v)) ** self.p
-                        rows.append(e.coeffs)
-                    self._frob_rows = tuple(rows)
-        return self._frob_rows
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, k={self.k})"
@@ -369,7 +343,7 @@ class _TableCtx(FieldCtx):
         self.half = qm1 // 2
         # the smallest primitive encoding, found with the power-basis kernels
         one = _decode(1, p, k)
-        cofactors = [qm1 // r for r in self._factors_qm1()]
+        cofactors = [qm1 // r for r in self.qm1_factors]
         for n in range(2, q):
             g = _decode(n, p, k)
             if all(self._pow_coeffs(g, e) != one for e in cofactors):
@@ -760,7 +734,7 @@ def multiplicative_order(x: FieldElement) -> int:
     if ctx.log is not None:
         return qm1 // gcd(qm1, ctx.log[x.n])
     order = qm1
-    for prime, mult in ctx._factors_qm1().items():
+    for prime, mult in ctx.qm1_factors.items():
         for _ in range(mult):
             cand = order // prime
             if (x ** cand) == ctx.one():
@@ -815,11 +789,14 @@ def distinguished_generator(ctx: FieldCtx) -> FieldElement:
 
     For every maximal proper divisor d of k the relative norm power
     xi_k^((q-1)/(p^d-1)) has the same minimal polynomial as xi_d, which
-    makes the induced embeddings commute along towers.
+    makes the induced embeddings commute along towers.  Its encoding is
+    kept in the "generator" store under (p, k).
     """
-    if ctx._dist_gen is not None:
-        return ctx._dist_gen
     p, k, q = ctx.p, ctx.k, ctx.q
+    generators = _cache.store("generator")
+    n = generators.get((p, k))
+    if n is not None:
+        return ctx.from_encoding(n)
     constraints = []
     for r in factorize(k):
         d = k // r
@@ -827,19 +804,15 @@ def distinguished_generator(ctx: FieldCtx) -> FieldElement:
         constraints.append(
             ((q - 1) // (p**d - 1), _minpoly_coeffs(distinguished_generator(sub)))
         )
-    factors = ctx._factors_qm1()
     for n in range(1, q):
         x = ctx.from_encoding(n)
-        if _order_is(x, q - 1, factors) and all(
+        if _order_is(x, q - 1, ctx.qm1_factors) and all(
             _minpoly_coeffs(x ** e) == mp for e, mp in constraints
         ):
             break
     else:
         raise InternalInvariant(f"no compatible generator for {ctx!r}")
-    with ctx._lock:
-        if ctx._dist_gen is None:
-            ctx._dist_gen = x
-    return ctx._dist_gen
+    return ctx.from_encoding(_cache.publish(generators, (p, k), n))
 
 
 def _solve_mod_p(matrix: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
@@ -874,11 +847,13 @@ def _solve_mod_p(matrix: list[list[int]], rhs: list[int], p: int) -> list[int] |
 
 
 def _embed_rows(src: FieldCtx, tgt: FieldCtx) -> tuple[tuple[int, ...], ...]:
-    """Rows of the embedding matrix: row i = image of src generator^i."""
-    cached = src._embed_cache.get((tgt.p, tgt.k))
+    """Rows of the embedding matrix: row i = image of src generator^i; kept
+    in the "embed" store under (p, src.k, tgt.k)."""
+    p = src.p
+    embeddings = _cache.store("embed")
+    cached = embeddings.get((p, src.k, tgt.k))
     if cached is not None:
         return cached
-    p = src.p
     if src.k == 1:
         rows = (tuple([1] + [0] * (tgt.k - 1)),)
     else:
@@ -914,9 +889,7 @@ def _embed_rows(src: FieldCtx, tgt: FieldCtx) -> tuple[tuple[int, ...], ...]:
             rows_l.append(acc.coeffs)
             acc = acc * img_g
         rows = tuple(rows_l)
-    with src._lock:
-        src._embed_cache[(tgt.p, tgt.k)] = rows
-    return rows
+    return _cache.publish(embeddings, (p, src.k, tgt.k), rows)
 
 
 def embed(x: FieldElement, target: FieldCtx) -> FieldElement:

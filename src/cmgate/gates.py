@@ -139,10 +139,7 @@ def _new_points_at_level(C: PlaneCurve, k: int):
 # ---------------------------------------------------------------------------
 
 def check_cm_hypothesis(
-    C: PlaneCurve,
-    k_max: int,
-    witness_limit: int | None = None,
-    hilbert_check: str | bool = "auto",
+    C: PlaneCurve, k_max: int, witness_limit: int | None = None,
 ) -> GateReport:
     """Sweep curve points and compare the CM orders of their coordinates.
 
@@ -167,8 +164,8 @@ def check_cm_hypothesis(
                 )
                 continue
             try:
-                dx = endoring.endo_discriminant(x, hilbert_check)
-                dy = endoring.endo_discriminant(y, hilbert_check)
+                dx = endoring.endo_discriminant(x)
+                dy = endoring.endo_discriminant(y)
             except UnsupportedLevel as exc:
                 report.bump("skipped")
                 report.exceptions.append(
@@ -249,15 +246,12 @@ def _p_power_exponent(e: int, p: int):
 
 
 def andre_oort_gate(
-    C: PlaneCurve,
-    k_max: int,
-    witness_limit: int | None = None,
-    hilbert_check: str | bool = "auto",
+    C: PlaneCurve, k_max: int, witness_limit: int | None = None,
 ) -> GateReport:
     """Hypothesis sweep plus conclusion pattern, with the consistency
     sentinel: a clean full-sweep pass without a Frobenius-monomial
     conclusion is flagged as a falsification candidate."""
-    report = check_cm_hypothesis(C, k_max, witness_limit, hilbert_check)
+    report = check_cm_hypothesis(C, k_max, witness_limit)
     report.gate = "andre-oort-gate"
     conclusion = check_frobenius_conclusion(C)
     if conclusion is not None:
@@ -269,7 +263,7 @@ def andre_oort_gate(
             "curve is not a Frobenius-monomial"
         )
     # annotate the geometric-isogeny conclusion on the first ISOGENY_SAMPLES
-    # ordinary points whose coordinates can be classified
+    # ordinary points
     sampled = 0
     for k in range(1, k_max + 1):
         if sampled >= ISOGENY_SAMPLES:
@@ -279,12 +273,8 @@ def andre_oort_gate(
                 break
             if ecurve.is_supersingular_j(x) or ecurve.is_supersingular_j(y):
                 continue
-            try:
-                isogenous = endoring.geometrically_isogenous(x, y)
-            except UnsupportedLevel:
-                continue
             report.bump("isogeny_samples")
-            if not isogenous:
+            if not endoring.geometrically_isogenous(x, y):
                 report.bump("isogeny_sample_failures")
             sampled += 1
     return report
@@ -437,9 +427,18 @@ def modular_support_check(pair: RingElementPair, D_set) -> GateReport:
                      "witness: H_D(B(Q)) = 0")
 
         _radical_support(report, "D", H.poly, pair, {"kind": "modular-support", "D": D}, verify)
+
+    def supersingular(j):
+        # from its own count, not the trace store the polynomial was built from
+        return ecurve.frobenius_data(ecurve.curve_from_j(ffield.minimal_field(j))).t % p == 0
+
+    def verify_image(Q):
+        _require(supersingular(A.evaluate(Q)), "witness: A(Q) is not supersingular")
+        _require(not supersingular(B.evaluate(Q)), "witness: B(Q) is supersingular")
+
     if nonsplit and _radical_support(
         report, "nonsplit_rootset", _supersingular_polynomial(ctx), pair,
-        {"kind": "supersingular-image", "D": None}, by=len(nonsplit),
+        {"kind": "supersingular-image", "D": None}, verify_image, by=len(nonsplit),
     ):
         report.notes.append(
             f"{len(nonsplit)} non-split discriminants checked by the "

@@ -127,6 +127,21 @@ class TestCommands:
         assert payload["verdict"] == "fail"
         assert payload["witnesses"]
 
+    def test_sentinel_report_exits_3(self, monkeypatch):
+        # a report that flags the falsification sentinel exits 3 even though
+        # its verdict is pass
+        from cmgate import gates
+
+        def flagged(curve, k_max, witness_limit=None):
+            report = gates.GateReport("andre-oort-gate", {})
+            report.sentinel = True
+            return report
+
+        monkeypatch.setattr(gates, "andre_oort_gate", flagged)
+        code, payload = run_json("ao-gate", "--p", "5", "--curve", "X + Y - 1", "--kmax", "1")
+        assert code == cli.EXIT_SENTINEL
+        assert payload["verdict"] == "pass" and payload["result"]["sentinel"] is True
+
     def test_subgroup_detect(self):
         code, payload = run_json("subgroup-detect", "--p", "5",
                                  "--curve", "X^2 - 2*Y")
@@ -230,6 +245,52 @@ class TestCommands:
         code, payload = run_json("selftest", "--criteria", "11")
         assert code == 0
         assert payload["result"]["criteria"][0]["passed"]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_141_silently(self, fmt, unbuffered):
+        # a reader that closed the pipe early (`| head`, `| true`) is not a
+        # gate failure: exit 128 + SIGPIPE, with nothing on stderr, whether
+        # the write fails in the command's print or in the final flush
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cmgate.cli", "--format", fmt, "kronecker", "-7", "5"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+class TestOneWriter:
+    def test_only_run_and_fail_write_output(self):
+        # the commands compute; run() alone writes their output (and _fail
+        # the error document), so the exit-code contract lives in one place
+        import ast
+        import pathlib
+
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+        writers = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) \
+                            and call.func.id in ("_emit", "print"):
+                        writers.setdefault(call.func.id, set()).add(node.name)
+        assert not any(name.startswith("_cmd_") for names in writers.values() for name in names)
+        assert writers["_emit"] == {"run", "_fail"}
 
 
 class TestStartup:

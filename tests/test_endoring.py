@@ -267,6 +267,22 @@ class TestGeometricallyIsogenous:
                 continue
             assert er.geometrically_isogenous(x, ff.frobenius(x)) is True
 
+    @pytest.mark.parametrize("p", [13, 223])
+    def test_trace_d_K_agrees_with_provider_a(self, p):
+        # the fundamental part of t^2 - 4q, which the relation reads, against
+        # provider A's walk wherever that classifies j
+        classified = 0
+        for j in ff.enumerate_elements(ff.make_field(p, 1)):
+            if ec.is_supersingular_j(j):
+                continue
+            try:
+                d_K = er.provider_a_disc(j).d_K
+            except UnsupportedLevel:
+                continue
+            assert er.split_discriminant(ec.trace_of_j(j).d_pi)[0] == d_K
+            classified += 1
+        assert classified
+
     @pytest.mark.parametrize("p", [5, 13])
     def test_equivalence_relation_on_quadratic_field(self, p):
         ctx = ff.make_field(p, 2)

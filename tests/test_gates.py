@@ -80,8 +80,7 @@ class TestCmHypothesis:
         _cache.store("disc")[(5, 1, 2)] = er.CMOrder(-7, 1)
         try:
             with pytest.raises(InternalInvariant, match="disc_x"):
-                g.check_cm_hypothesis(
-                    curve({(1, 0): 1, (0, 1): 1, (0, 0): -1}), 1, hilbert_check=False)
+                g.check_cm_hypothesis(curve({(1, 0): 1, (0, 1): 1, (0, 0): -1}), 1)
         finally:
             clear_caches()
 
@@ -123,15 +122,16 @@ class TestAndreOortGate:
         assert report.conclusion is None
         assert not report.sentinel
 
-    def test_unclassifiable_points_are_not_sampled(self, capsys):
+    def test_unclassifiable_points_are_sampled(self, capsys):
         # j = 92 over F_223 has the conductor prime 17, beyond the vendored
-        # levels: the sweep reports its ordinary points as skipped, and the
-        # isogeny annotation passes over them instead of raising
+        # levels: the sweep reports its ordinary points as skipped, while the
+        # isogeny annotation, which needs only d_K from the trace, samples them
         argv = ["--format", "json", "ao-gate", "--p", "223", "--curve", "X - 92", "--kmax", "1"]
         assert cli.run(argv) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "inconclusive"
         assert out["timings"]["work"] == {
+            "isogeny_sample_failures": 2, "isogeny_samples": 3,
             "points": 223, "skipped": 216, "supersingular_exceptions": 7}
 
 
@@ -191,6 +191,13 @@ class TestModularSupport:
         monkeypatch.setattr(cp, "hilbert_eval", lambda D, x: x.ctx.one())
         with pytest.raises(InternalInvariant, match="H_D"):
             g.modular_support_check(g.RingElementPair(upoly(0, 1), upoly(1, 1)), self.D_SET)
+
+    def test_supersingular_image_witness_is_reverified(self, monkeypatch):
+        # -3 is inert at 5, so only the supersingular image is checked; a
+        # polynomial with the ordinary root 3 = 1728 must not yield a witness
+        monkeypatch.setattr(g, "_supersingular_polynomial", lambda ctx: upoly(-3, 1))
+        with pytest.raises(InternalInvariant, match="supersingular"):
+            g.modular_support_check(g.RingElementPair(upoly(0, 1), upoly(1, 1)), [-3])
 
     def test_equal_pair(self):
         pair = g.RingElementPair(upoly(0, 1), upoly(0, 1))

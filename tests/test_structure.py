@@ -401,3 +401,25 @@ class TestOneCacheModule:
                             "cache", "lru_cache"):
                         found.append(f"{filename}:{node.name}")
         assert found == []
+
+    def test_only_the_cache_module_imports_threading(self):
+        # one lock policy: `_cache.publish`, not a lock per module or context
+        importers = []
+        for path in sorted(self.PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else (
+                    [node.module] if isinstance(node, ast.ImportFrom) else [])
+                if "threading" in names:
+                    importers.append(path.name)
+        assert importers == ["_cache.py"]
+
+    def test_clear_caches_drops_embeddings(self, monkeypatch):
+        # the contexts stay interned, but nothing derived from them survives
+        x, F625 = ff.make_field(5, 2).gen(), ff.make_field(5, 4)
+        image = ff.embed(x, F625)
+        clear_caches()
+        calls = []
+        solve = ff._solve_mod_p
+        monkeypatch.setattr(ff, "_solve_mod_p", lambda *a: calls.append(a) or solve(*a))
+        assert ff.embed(x, F625) == image
+        assert calls
