@@ -384,6 +384,9 @@ def _cmd_selftest(args):
     from . import acceptance
 
     chosen = [int(tok) for tok in args.criteria.split(",")] if args.criteria else None
+    unknown, known = sorted(set(chosen or ()) - set(acceptance.REGISTRY)), acceptance.REGISTRY
+    if unknown:
+        raise ValueError(f"no criterion {unknown}: the criteria are {min(known)}-{max(known)}")
     results = acceptance.run_all(chosen)
     verdict = "pass" if all(r.passed for r in results) else "fail"
     return verdict, {"criteria": [r.as_dict() for r in results]}, [r.line() for r in results]
@@ -392,6 +395,15 @@ def _cmd_selftest(args):
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _sweep_bound(least: int):
+    """The argparse type of a sweep bound: below `least`, nothing is swept."""
+    def bound(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"{text} leaves nothing to sweep; the least is {least}")
+        return int(text)
+    return bound
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -473,13 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = cmd("ao-gate", _cmd_ao_gate, help="Andre-Oort gate (CM hypothesis sweep)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--curve", required=True)
-    sp.add_argument("--kmax", type=int, required=True)
+    sp.add_argument("--kmax", type=_sweep_bound(1), required=True)
     sp.add_argument("--witness-limit", type=int, default=None)
 
     sp = cmd("mult-gate", _cmd_mult_gate, help="multiplicative-order gate")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--curve", required=True)
-    sp.add_argument("--kmax", type=int, required=True)
+    sp.add_argument("--kmax", type=_sweep_bound(1), required=True)
     sp.add_argument("--mode", choices=("divides", "equal"), default="divides")
     sp.add_argument("--witness-limit", type=int, default=None)
 
@@ -492,28 +504,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--A", required=True)
     sp.add_argument("--B", required=True)
-    sp.add_argument("--dmax", type=int, default=100)
+    sp.add_argument("--dmax", type=_sweep_bound(3), default=100)
 
     sp = cmd("support-mult", _cmd_support_mult, help="multiplicative support gate")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--A", required=True)
     sp.add_argument("--B", required=True)
-    sp.add_argument("--nmax", type=int, default=8)
+    sp.add_argument("--nmax", type=_sweep_bound(1), default=8)
     sp.add_argument("--n0", type=int, default=0)
 
     sp = cmd("support-cyclo", _cmd_support_cyclo, help="cyclotomic support gate")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--A", required=True)
     sp.add_argument("--B", required=True)
-    sp.add_argument("--nmax", type=int, default=8)
+    sp.add_argument("--nmax", type=_sweep_bound(1), default=8)
     sp.add_argument("--n0", type=int, default=0)
 
     sp = cmd("construct-points", _cmd_construct_points,
              help="Frobenius-point constructor")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--curve", required=True)
-    sp.add_argument("--nmax", type=int, default=3)
-    sp.add_argument("--count", type=int, default=3)
+    sp.add_argument("--nmax", type=_sweep_bound(1), default=3)
+    sp.add_argument("--count", type=_sweep_bound(1), default=3)
 
     sp = cmd("selftest", _cmd_selftest, help="run the acceptance criteria")
     sp.add_argument("--criteria", default=None,
@@ -539,6 +551,9 @@ def run(argv=None) -> int:
         return _fail(args, exc, EXIT_USAGE, f"error: {type(exc).__name__}: {exc}")
     except ValueError as exc:
         return _fail(args, exc, EXIT_USAGE, f"error: {exc}")
+    except Exception as exc:  # any other fault is a broken invariant too
+        return _fail(args, exc, EXIT_SENTINEL,
+                     f"internal sentinel: {type(exc).__name__}: {exc}")
     report = None if isinstance(out, tuple) else out
     verdict, result, text = out if report is None else _report(report)
     _emit(args, _payload(args, verdict, result, report), text)

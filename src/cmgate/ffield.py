@@ -469,9 +469,6 @@ class _PolyElement(FieldElement):
             return _PolyElement(ctx, ctx._inv_coeffs(ctx._pow_coeffs(self.coeffs, -e)))
         return _PolyElement(ctx, ctx._pow_coeffs(self.coeffs, e))
 
-    def inverse(self) -> "FieldElement":
-        return _PolyElement(self.ctx, self.ctx._inv_coeffs(self.coeffs))
-
     def scale(self, c: int) -> "FieldElement":
         p = self.ctx.p
         c %= p
@@ -506,13 +503,6 @@ class _EncodedElement(FieldElement):
     @property
     def coeffs(self) -> tuple[int, ...]:
         return _decode(self.n, self.ctx.p, self.ctx.k)
-
-    def inverse(self) -> "FieldElement":
-        n = self.n
-        if not n:
-            raise DivisionByZero("inverse of zero")
-        ctx = self.ctx
-        return ctx._elem(ctx, ctx.exp[ctx.qm1 - ctx.log[n]])
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         ctx = self.ctx

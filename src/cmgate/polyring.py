@@ -11,12 +11,13 @@ rational_roots: per squarefree part, one gcd with T^q - T and the
 equal-degree split of that product of linear factors, with no factorization
 of the rest.
 
-Factoring and root finding run in a kernel: F_q[T] on plain lists, picked
-by the context (see kernel).  Every prime field computes on residues mod p
-through ffield's table-free F_p kernels; F_{p^k} with k >= 2 and log tables
-(q <= 2^16) on discrete logs with Zech additions; larger extension fields
-on element objects with UniPoly's arithmetic.  A polynomial is converted
-once on entry and once on exit.
+UniPoly's arithmetic, factoring and root finding run in a kernel: F_q[T] on
+plain lists, picked by the context (see kernel).  Every prime field computes
+on residues mod p through ffield's table-free F_p kernels; F_{p^k} with
+k >= 2 and log tables (q <= 2^16) on discrete logs with Zech additions;
+larger extension fields on power-basis tuples, a polynomial product being
+one integer product.  A polynomial is converted once on entry and once on
+exit.
 
 Bivariate factorization is deliberately not implemented; the only decision
 offered is is_absolutely_irreducible, which combines exact pattern rules
@@ -78,53 +79,31 @@ class UniPoly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def leading(self) -> FieldElement:
-        if self.is_zero():
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        inv = self.leading().inverse()
-        return UniPoly(self.ctx, [c * inv for c in self.coeffs])
+        K = kernel(self.ctx)
+        return K.to_poly(K.monic(K.to_list(self)))
 
     def _check(self, other: "UniPoly"):
         if self.ctx is not other.ctx:
             raise ContextMismatch("polynomials live in different contexts")
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.ctx.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return UniPoly(self.ctx, [x + y for x, y in zip(a, b)])
+        return self - -other
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.ctx.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return UniPoly(self.ctx, [x - y for x, y in zip(a, b)])
+        K = kernel(self.ctx)
+        return K.to_poly(K.sub(K.to_list(self), K.to_list(other)))
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(self.ctx, [-c for c in self.coeffs])
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.ctx)
-        ctx = self.ctx
-        out = [ctx.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly(ctx, out)
+        K = kernel(self.ctx)
+        return K.to_poly(K.mul(K.to_list(self), K.to_list(other)))
 
     def __pow__(self, e: int) -> "UniPoly":
         """self^e (e >= 0) by square-and-multiply."""
@@ -149,50 +128,27 @@ class UniPoly:
             out[i * p] = ffield.frobenius(c)
         return UniPoly(ctx, out)
 
-    def scale(self, c: FieldElement) -> "UniPoly":
-        return UniPoly(self.ctx, [a * c for a in self.coeffs])
-
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         self._check(other)
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
-        ctx = self.ctx
-        rem = list(self.coeffs)
-        dv = other.degree()
-        inv_lead = other.leading().inverse()
-        quo = [ctx.zero()] * max(0, len(rem) - dv)
-        while len(rem) - 1 >= dv and rem:
-            c = rem[-1] * inv_lead
-            if not c.is_zero():
-                shift = len(rem) - 1 - dv
-                quo[shift] = c
-                for i, b in enumerate(other.coeffs):
-                    rem[shift + i] = rem[shift + i] - c * b
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return UniPoly(ctx, quo), UniPoly(ctx, rem)
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[0]
+        K = kernel(self.ctx)
+        quo, rem = K.divmod(K.to_list(self), K.to_list(other))
+        return K.to_poly(quo), K.to_poly(rem)
 
     def divides(self, other: "UniPoly") -> bool:
         """Whether self divides other (self nonzero)."""
         return other.divmod(self)[1].is_zero()
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd; zero only when both are zero."""
+        self._check(other)
+        K = kernel(self.ctx)
+        return K.to_poly(K.gcd(K.to_list(self), K.to_list(other)))
 
     def derivative(self) -> "UniPoly":
-        ctx = self.ctx
-        return UniPoly(
-            ctx, [self.coeffs[i].scale(i) for i in range(1, len(self.coeffs))]
-        )
+        K = kernel(self.ctx)
+        return K.to_poly(K.derivative(K.to_list(self)))
 
     def evaluate(self, x: FieldElement) -> FieldElement:
         acc = x.ctx.zero()
@@ -243,9 +199,10 @@ class UniPoly:
 #
 # A kernel polynomial is a list of the kernel's scalars, constant term first,
 # with no trailing zero scalar, so that len(a) - 1 is its degree.  to_list and
-# to_poly convert from and to UniPoly; the algorithms below (squarefree parts,
-# distinct-degree and equal-degree splits, rational roots) are written once
-# against the kernel methods and convert only on entry and exit.
+# to_poly convert from and to UniPoly; UniPoly's arithmetic and the algorithms
+# below (squarefree parts, distinct-degree and equal-degree splits, rational
+# roots) are written once against the kernel methods and convert only on
+# entry and exit.
 
 def _trim(a: list, zero) -> list:
     while a and a[-1] == zero:
@@ -253,10 +210,44 @@ def _trim(a: list, zero) -> list:
     return a
 
 
-class _Residues:
+class _Kernel:
+    """What the kernels share: the conversions, and gcd and powers for a
+    kernel that does not tune its own."""
+
+    __slots__ = ()
+
+    def to_list(self, f: UniPoly) -> list:
+        scalar = self.scalar
+        return [scalar(c) for c in f.coeffs]
+
+    def to_poly(self, a: list) -> UniPoly:
+        elem = self.elem
+        return UniPoly(self.ctx, [elem(c) for c in a])
+
+    def monic(self, a: list) -> list:
+        return self.divmod(a, a[-1:])[0]
+
+    def gcd(self, a: list, b: list) -> list:
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a) if a else a
+
+    def powmod(self, a: list, e: int, m: list) -> list:
+        """a^e mod m, left to right, so that a small base (T in x^q) costs little."""
+        if not e:
+            return [self.one]
+        base = result = self.divmod(a, m)[1]
+        for bit in bin(e)[3:]:
+            result = self.divmod(self.mul(result, result), m)[1]
+            if bit == "1":
+                result = self.divmod(self.mul(result, base), m)[1]
+        return result
+
+
+class _Residues(_Kernel):
     """F_p[T] for every prime field: a scalar is the residue in [0, p).
 
-    Division, gcd and powers are ffield's table-free F_p kernels.
+    Products, division, gcd and powers are ffield's table-free F_p kernels.
     """
 
     __slots__ = ("ctx", "p")
@@ -281,15 +272,11 @@ class _Residues:
     def neg(self, c: int) -> int:
         return -c % self.p
 
-    def to_list(self, f: UniPoly) -> list[int]:
-        return [c.encoding() for c in f.coeffs]
-
-    def to_poly(self, a: list[int]) -> UniPoly:
-        from_int = self.ctx.from_int
-        return UniPoly(self.ctx, [from_int(c) for c in a])
-
     def sub(self, a: list[int], b: list[int]) -> list[int]:
         return ffield._ip_sub(a, b, self.p)
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        return ffield._ip_mul(a, b, self.p)
 
     def divmod(self, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
         return ffield._ip_divmod(a, b, self.p)
@@ -299,11 +286,6 @@ class _Residues:
 
     def powmod(self, a: list[int], e: int, m: list[int]) -> list[int]:
         return ffield._ip_powmod(a, e, m, self.p)
-
-    def monic(self, a: list[int]) -> list[int]:
-        p = self.p
-        inv = pow(a[-1], -1, p)
-        return [c * inv % p for c in a]
 
     def derivative(self, a: list[int]) -> list[int]:
         p = self.p
@@ -324,7 +306,7 @@ class _Residues:
         return _trim(out, 0)
 
 
-class _Logs:
+class _Logs(_Kernel):
     """F_q[T] for k >= 2 with log tables: a scalar is its discrete log, -1 for 0.
 
     A product adds logs; g^c + g^u = g^(c + Z[u - c]) is one Zech lookup,
@@ -357,13 +339,6 @@ class _Logs:
     def neg(self, c: int) -> int:
         return (c + self.half) % self.qm1 if c >= 0 else -1
 
-    def to_list(self, f: UniPoly) -> list[int]:
-        log = self.log
-        return [log[c.n] if c.n else -1 for c in f.coeffs]
-
-    def to_poly(self, a: list[int]) -> UniPoly:
-        return UniPoly(self.ctx, [self.elem(c) for c in a])
-
     def sub(self, a: list[int], b: list[int]) -> list[int]:
         zech, qm1, half = self.zech, self.qm1, self.half
         out = a + [-1] * (len(b) - len(a))
@@ -372,7 +347,7 @@ class _Logs:
                 out[j] = zech_add(zech, qm1, out[j], (u + half) % qm1)
         return _trim(out, -1)
 
-    def _mul(self, a: list[int], b: list[int]) -> list[int]:
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
         if not a or not b:
             return []
         zech, qm1 = self.zech, self.qm1
@@ -427,13 +402,6 @@ class _Logs:
         r = a[:]
         return self._reduce(r, self._reducer(b)), r
 
-    def gcd(self, a: list[int], b: list[int]) -> list[int]:
-        a, b = a[:], b[:]
-        while b:
-            self._reduce(a, self._reducer(b))
-            a, b = b, a
-        return self.monic(a) if a else a
-
     def powmod(self, a: list[int], e: int, m: list[int]) -> list[int]:
         """Left to right, so that a small base (T in x^q) costs little."""
         if not e:
@@ -443,16 +411,12 @@ class _Logs:
         self._reduce(base, reducer)
         result = base
         for bit in bin(e)[3:]:
-            result = self._mul(result, result)
+            result = self.mul(result, result)
             self._reduce(result, reducer)
             if bit == "1":
-                result = self._mul(result, base)
+                result = self.mul(result, base)
                 self._reduce(result, reducer)
         return result
-
-    def monic(self, a: list[int]) -> list[int]:
-        lead, qm1 = a[-1], self.qm1
-        return [(c - lead) % qm1 if c >= 0 else -1 for c in a]
 
     def derivative(self, a: list[int]) -> list[int]:
         log, p, qm1 = self.log, self.p, self.qm1
@@ -481,88 +445,116 @@ class _Logs:
         return _trim(out, -1)
 
 
-class _Objects:
-    """F_q[T] for k >= 2 above the table cut: a scalar is the field element,
-    and the arithmetic is UniPoly's."""
+class _Coeffs(_Kernel):
+    """F_q[T] for k >= 2 above the table cut: a scalar is the power-basis
+    tuple, and scalar products go through the context's tuple kernels.
 
-    __slots__ = ("ctx", "zero", "one")
+    A polynomial product is one integer product (Kronecker substitution):
+    digit s of coefficient i packs at bit w((2k - 1)i + s), with w wide
+    enough that no digit of the product carries.  Unpacking folds each
+    coefficient once: its digits of degree k and above through the
+    context's reduction rows, then every digit mod p.
+    """
+
+    __slots__ = ("ctx", "p", "k", "zero", "one")
 
     def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-        self.zero, self.one = ctx.zero(), ctx.one()
+        self.ctx, self.p, self.k = ctx, ctx.p, ctx.k
+        self.zero, self.one = (0,) * ctx.k, (1,) + (0,) * (ctx.k - 1)
 
-    def scalar(self, x: FieldElement) -> FieldElement:
-        return x
+    def scalar(self, x: FieldElement) -> tuple:
+        return x.coeffs
 
-    def elem(self, c: FieldElement) -> FieldElement:
-        return c
+    def elem(self, c: tuple) -> FieldElement:
+        return self.ctx._from_reduced(c)
 
-    def encoding(self, c: FieldElement) -> int:
-        return c.encoding()
+    def encoding(self, c: tuple) -> int:
+        return ffield._encode(c, self.p)
 
-    def from_encoding(self, n: int) -> FieldElement:
-        return self.ctx.from_encoding(n)
+    def from_encoding(self, n: int) -> tuple:
+        return ffield._decode(n, self.p, self.k)
 
-    def neg(self, c: FieldElement) -> FieldElement:
-        return -c
+    def neg(self, c: tuple) -> tuple:
+        p = self.p
+        return tuple(-x % p for x in c)
 
-    def to_list(self, f: UniPoly) -> list:
-        return list(f.coeffs)
+    def _packing(self, terms: int) -> tuple[int, list[int]]:
+        """(w, the reduction rows packed at w): a w-bit digit holds a sum of
+        `terms` products of reduced tuples, folded."""
+        w = ((terms + 1) * self.k**2 * self.p**3).bit_length()
+        return w, [self._pack([row], w) for row in self.ctx._red]
 
-    def to_poly(self, a: list) -> UniPoly:
-        return UniPoly(self.ctx, a)
+    def _pack(self, a: list, w: int) -> int:
+        n, pad = 0, w * (self.k - 1)
+        for c in reversed(a):
+            n <<= pad
+            for x in reversed(c):
+                n = n << w | x
+        return n
+
+    def _unpack(self, n: int, w: int, rows: list[int]) -> list:
+        """The reduced coefficients of a packed sum of products."""
+        k, p, mask, out = self.k, self.p, (1 << w) - 1, []
+        while n:
+            low, hi = n & ((1 << w * k) - 1), n >> w * k
+            for row in rows:
+                low += (hi & mask) * row
+                hi >>= w
+            out.append(tuple([(low >> w * s & mask) % p for s in range(k)]))
+            n >>= w * (2 * k - 1)
+        return _trim(out, self.zero)
 
     def sub(self, a: list, b: list) -> list:
-        return list((self.to_poly(a) - self.to_poly(b)).coeffs)
+        w, rows = self._packing(0)
+        return self._unpack(self._pack(a, w) + self._pack([self.neg(c) for c in b], w), w, rows)
+
+    def mul(self, a: list, b: list) -> list:
+        w, rows = self._packing(min(len(a), len(b)))
+        return self._unpack(self._pack(a, w) * self._pack(b, w), w, rows)
 
     def divmod(self, a: list, b: list) -> tuple[list, list]:
-        quo, rem = self.to_poly(a).divmod(self.to_poly(b))
-        return list(quo.coeffs), list(rem.coeffs)
-
-    def gcd(self, a: list, b: list) -> list:
-        return list(self.to_poly(a).gcd(self.to_poly(b)).coeffs)
-
-    def powmod(self, a: list, e: int, m: list) -> list:
-        m = self.to_poly(m)
-        result = UniPoly.one(self.ctx)
-        base = self.to_poly(a) % m
-        while e:
-            if e & 1:
-                result = (result * base) % m
-            e >>= 1
-            if e:
-                base = (base * base) % m
-        return list(result.coeffs)
-
-    def monic(self, a: list) -> list:
-        return list(self.to_poly(a).monic().coeffs)
+        (w, rows), db, one = self._packing(len(b)), len(b) - 1, self.one
+        slot, inv = w * (2 * self.k - 1), one if b[-1] == one else self.ctx._inv_coeffs(b[-1])
+        low, r = self._pack([self.neg(c) for c in b[:-1]], w), self._pack(a, w)
+        quo = [self.zero] * max(0, len(a) - db)
+        for shift in range(len(a) - 1 - db, -1, -1):
+            top = slot * (shift + db)
+            t = self._unpack(r >> top, w, rows)  # the top entry, cancelled by c * b
+            r &= (1 << top) - 1
+            if t:
+                c = quo[shift] = t[0] if inv is one else self.ctx._mul_coeffs(t[0], inv)
+                r += self._pack([c], w) * low << slot * shift
+        return _trim(quo, self.zero), self._unpack(r, w, rows)
 
     def derivative(self, a: list) -> list:
-        return list(self.to_poly(a).derivative().coeffs)
+        p = self.p
+        return _trim([tuple(i * x % p for x in c) for i, c in enumerate(a)][1:], self.zero)
 
     def pth_root(self, a: list) -> list:
-        s = self.ctx.p ** (self.ctx.k - 1)  # x -> x^(p^(k-1)) inverts Frobenius
-        return [c**s for c in a[:: self.ctx.p]]
+        # x -> x^(p^(k-1)) inverts Frobenius
+        s, power = self.p ** (self.k - 1), self.ctx._pow_coeffs
+        return [power(c, s) for c in a[:: self.p]]
 
-    def evaluate_rows(self, rows, x: FieldElement) -> list:
-        """[row(x) for row in rows], each row a coefficient list (Horner)."""
-        out = []
-        for row in rows:
-            acc = self.zero
-            for c in reversed(row):
-                acc = acc * x + c
-            out.append(acc)
-        return _trim(out, self.zero)
+    def evaluate_rows(self, rows, x: tuple) -> list:
+        """[row(x) for row in rows], each row a coefficient list: the values
+        as one packed sum over i of (column i of the rows) times x^i."""
+        n = max(map(len, rows), default=0)
+        (w, red), y, values = self._packing(n), self.one, 0
+        for i in range(n):
+            column = [row[i] if i < len(row) else self.zero for row in rows]
+            values += self._pack(column, w) * self._pack([y], w)
+            y = self.ctx._mul_coeffs(y, x)
+        return self._unpack(values, w, red)
 
 
 def kernel(ctx: FieldCtx):
     """The list kernel of F_q[T] for this context: residues for every prime
-    field, discrete logs for k >= 2 with tables, element objects otherwise."""
+    field, discrete logs for k >= 2 with tables, power-basis tuples otherwise."""
     if ctx.k == 1:
         return _Residues(ctx)
     if ctx.log is not None:
         return _Logs(ctx)
-    return _Objects(ctx)
+    return _Coeffs(ctx)
 
 
 # ---------------------------------------------------------------------------

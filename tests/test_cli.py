@@ -189,9 +189,31 @@ class TestCommands:
         code, _ = run_cli("ao-gate", "--p", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("ao-gate", "--p", "5", "--curve", "X + Y - 1", "--kmax", "0"),
+        ("ao-gate", "--p", "5", "--curve", "X + Y - 1", "--kmax", "-2"),
+        ("mult-gate", "--p", "5", "--curve", "X + Y - 1", "--kmax", "0"),
+        ("support-modular", "--p", "5", "--A", "t", "--B", "t^5", "--dmax", "2"),
+        ("support-mult", "--p", "5", "--A", "t", "--B", "t^2", "--nmax", "0"),
+        ("construct-points", "--p", "5", "--curve", "X*Y - 1", "--count", "0"),
+    ])
+    def test_empty_sweep_is_a_usage_error(self, argv, capsys):
+        # an empty sweep is no falsification candidate (ao-gate exited 3) and
+        # no vacuous pass either
+        code, out = run_cli(*argv)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "leaves nothing to sweep" in capsys.readouterr().err
+
+    def test_unknown_criterion_is_a_usage_error(self, capsys):
+        code, out = run_cli("selftest", "--criteria", "2,13")
+        assert code == cli.EXIT_USAGE and out == ""
+        assert capsys.readouterr().err == "error: no criterion [13]: the criteria are 1-12\n"
+
     @pytest.mark.parametrize("exc", [
         AssertionError("re-verification failed"),
         InternalInvariant("broken invariant"),
+        KeyError(13),
+        ZeroDivisionError("integer division or modulo by zero"),
     ])
     def test_internal_errors_exit_sentinel(self, monkeypatch, capsys, exc):
         def broken(args):

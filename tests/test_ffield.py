@@ -304,11 +304,11 @@ class TestBackendAgainstTupleKernels:
                 assert (a ** e).coeffs == _ref_pow(ctx, ca, e)
             if a.is_zero():
                 with pytest.raises(DivisionByZero):
-                    a.inverse()
+                    ctx.one() / a
                 with pytest.raises(DivisionByZero):
                     a ** -1
             else:
-                assert a.inverse().coeffs == ctx._inv_coeffs(ca)
+                assert (a ** -1).coeffs == ctx._inv_coeffs(ca)
                 for e in (-1, -2, -7, -(ctx.q + 1)):
                     assert (a ** e).coeffs == _ref_pow(ctx, ca, e)
                 if ctx.log is not None:
@@ -414,7 +414,7 @@ class TestNormInverse:
             inv = ctx._inv_coeffs(a.coeffs)
             assert inv == _euclid_inverse(a.coeffs, ctx.modulus, p)
             assert ctx._mul_coeffs(a.coeffs, inv) == _digits(1, p, k)
-            assert a.inverse().coeffs == inv
+            assert (a ** -1).coeffs == inv
 
     @pytest.mark.parametrize("p,k", [(65537, 1), (257, 2), (11, 5)])
     def test_zero_has_no_inverse(self, p, k):
@@ -422,7 +422,7 @@ class TestNormInverse:
         with pytest.raises(DivisionByZero):
             ctx._inv_coeffs((0,) * k)
         with pytest.raises(DivisionByZero):
-            ctx.zero().inverse()
+            ctx.zero() ** -1
         with pytest.raises(DivisionByZero):
             ctx.one() / ctx.zero()
 

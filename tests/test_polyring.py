@@ -1,5 +1,6 @@
 import pytest
 
+from cmgate import clear_caches
 from cmgate import ffield as ff
 from cmgate import polyring as pr
 from cmgate.errors import (
@@ -24,7 +25,7 @@ def B(ctx, terms):
 
 
 def refactor_product(f, factors):
-    prod = pr.UniPoly.one(f.ctx).scale(f.leading())
+    prod = pr.UniPoly(f.ctx, f.coeffs[-1:])
     for g, m in factors:
         for _ in range(m):
             prod = prod * g
@@ -148,16 +149,98 @@ class TestLinearRoots:
         assert pr.roots_in(pr.UniPoly(F25, [F25.from_int(-3), F25.one()]), 1) == [F5.from_int(3)]
 
 
+class ObjectKernel:
+    """The element-object reference for every context: F_q[T] on lists of
+    field elements by schoolbook loops, with no kernel of polyring in it.
+    Each list kernel, and UniPoly's arithmetic, is checked against it."""
+
+    def __init__(self, ctx):
+        self.ctx, self.zero, self.one = ctx, ctx.zero(), ctx.one()
+
+    def scalar(self, x):
+        return x
+
+    def elem(self, c):
+        return c
+
+    def encoding(self, c):
+        return c.encoding()
+
+    def from_encoding(self, n):
+        return self.ctx.from_encoding(n)
+
+    def neg(self, c):
+        return -c
+
+    def to_list(self, f):
+        return list(f.coeffs)
+
+    def to_poly(self, a):
+        return pr.UniPoly(self.ctx, a)
+
+    def sub(self, a, b):
+        n = max(len(a), len(b))
+        a, b = a + [self.zero] * (n - len(a)), b + [self.zero] * (n - len(b))
+        return pr._trim([x - y for x, y in zip(a, b)], self.zero)
+
+    def mul(self, a, b):
+        out = [self.zero] * max(0, len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return pr._trim(out, self.zero)
+
+    def divmod(self, a, b):
+        rem, db, inv = a[:], len(b) - 1, b[-1] ** -1
+        quo = [self.zero] * max(0, len(rem) - db)
+        while len(rem) - 1 >= db:
+            c = rem[-1] * inv
+            shift = len(rem) - 1 - db
+            quo[shift] = c
+            for i, y in enumerate(b):
+                rem[shift + i] = rem[shift + i] - c * y
+            pr._trim(rem, self.zero)
+        return pr._trim(quo, self.zero), rem
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a) if a else a
+
+    def powmod(self, a, e, m):
+        result, base = [self.one], self.divmod(a, m)[1]
+        while e:
+            if e & 1:
+                result = self.divmod(self.mul(result, base), m)[1]
+            base = self.divmod(self.mul(base, base), m)[1]
+            e >>= 1
+        return result
+
+    def monic(self, a):
+        inv = a[-1] ** -1
+        return [c * inv for c in a]
+
+    def derivative(self, a):
+        return pr._trim([c.scale(i) for i, c in enumerate(a)][1:], self.zero)
+
+    def pth_root(self, a):
+        s = self.ctx.p ** (self.ctx.k - 1)  # x -> x^(p^(k-1)) inverts Frobenius
+        return [c**s for c in a[:: self.ctx.p]]
+
+    def evaluate_rows(self, rows, x):
+        out = []
+        for row in rows:
+            acc = self.zero
+            for c in reversed(row):
+                acc = acc * x + c
+            out.append(acc)
+        return pr._trim(out, self.zero)
+
+
 def object_pow_mod(f, e, modulus):
-    """The element-object square-and-multiply the table kernels replace."""
-    result = pr.UniPoly.one(f.ctx)
-    base = f % modulus
-    while e:
-        if e & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
-        e >>= 1
-    return result
+    """f^e mod modulus by the element-object square-and-multiply."""
+    R = ObjectKernel(f.ctx)
+    return R.to_poly(R.powmod(R.to_list(f), e, R.to_list(modulus)))
 
 
 def pow_mod(f, e, modulus):
@@ -173,15 +256,16 @@ def random_poly(ctx, rng, degree, lead=None):
 
 
 class TestTablePowMod:
-    # k = 1 and k >= 2 fields of the suite, the largest tabled fields and
-    # a prime field above the table cut (residues need no tables)
+    # k = 1 and k >= 2 fields of the suite, the largest tabled fields, a
+    # prime field above the table cut (residues need no tables) and
+    # extension fields above it (power-basis tuples)
     @pytest.mark.parametrize("p,k", [
         (5, 1), (7, 1), (13, 1), (19, 1), (103, 1), (65521, 1), (65537, 1),
         (5, 2), (7, 2), (13, 2), (43, 2), (103, 2), (5, 3), (19, 3), (5, 4), (5, 6), (251, 2),
+        (257, 2), (41, 3), (5, 7),
     ])
     def test_matches_object_square_and_multiply(self, p, k):
         ctx = ff.make_field(p, k)
-        assert not isinstance(pr.kernel(ctx), pr._Objects)  # an int kernel is under test
         rng = crc_rng("table-pow-mod", p, k)
         for trial in range(10):
             dm = 1 if trial < 3 else rng.randrange(2, 9)
@@ -277,22 +361,36 @@ class TestRationalRoots:
                 repeated += total > len(roots)
         assert repeated  # some Phi_l(j, T) has a repeated rational root
 
-    def test_sampled_j_above_the_table_cut(self):
+    def test_sampled_j_above_the_table_cut(self, monkeypatch):
         from cmgate import endoring as er
 
-        ctx = ff.make_field(257, 2)
-        assert ctx.log is None
-        rng = crc_rng("rational-roots-big", 257, 2)
-        for level in (2, 3):
-            for _ in range(3):
-                f = er.phi_at_j(level, ctx.from_encoding(rng.randrange(ctx.q)))
-                assert pr.rational_roots(f) == self.linear_factors(f)
+        def run():
+            out = []
+            for p, k in ((257, 2), (41, 3)):
+                ctx = ff.make_field(p, k)
+                assert ctx.log is None
+                rng = crc_rng("rational-roots-big", p, k)
+                for level in (2, 3, 13):
+                    for _ in range(3):
+                        f = er.phi_at_j(level, ctx.from_encoding(rng.randrange(ctx.q)))
+                        out.append((f, pr.rational_roots(f)))
+            return out
+
+        fast = run()
+        for f, roots in fast:
+            assert roots == self.linear_factors(f)
+        # the Phi_l(j, T) and their roots again on element objects
+        clear_caches()
+        monkeypatch.setattr(pr, "kernel", ObjectKernel)
+        slow = run()
+        clear_caches()
+        assert fast == slow
 
     def test_multiplicities_and_constants(self):
         lin1, lin2 = U(F7, -2, 1), U(F7, -3, 1)
         irr = U(F7, 1, 0, 1)  # T^2 + 1 has no root in F_7
         f = lin1 * lin1 * lin1 * lin2 * irr * irr
-        total, roots = pr.rational_roots(f.scale(F7.from_int(3)))
+        total, roots = pr.rational_roots(f * U(F7, 3))
         assert total == 4 and [r.lift() for r in roots] == [2, 3]
         assert pr.rational_roots(U(F7, 5)) == (0, [])
         with pytest.raises(ZeroPolynomial):
@@ -424,7 +522,7 @@ class TestSquarefree:
 # both sides of the table cut (2^16), with k = 1, 2 and >= 3
 KERNEL_FIELDS = [
     (7, 1), (103, 1), (65521, 1), (65537, 1),
-    (13, 2), (251, 2), (257, 2), (5, 3), (7, 3), (5, 6),
+    (13, 2), (251, 2), (257, 2), (41, 3), (5, 3), (7, 3), (5, 6), (5, 7),
 ]
 
 
@@ -435,7 +533,7 @@ class TestKernels:
             if k == 1:
                 expected = pr._Residues
             else:
-                expected = pr._Logs if ctx.q <= ff._TABLE_MAX else pr._Objects
+                expected = pr._Logs if ctx.q <= ff._TABLE_MAX else pr._Coeffs
             assert type(pr.kernel(ctx)) is expected, (p, k)
 
     @staticmethod
@@ -460,7 +558,7 @@ class TestKernels:
         ctx = ff.make_field(p, k)
         polys = self.sample(ctx, crc_rng("kernel-roots", p, k))
         # a polynomial over a subfield, with roots taken in a larger field
-        sub = ff.make_field(p, 1 if k < 6 else 2)
+        sub = ff.make_field(p, 2 if k == 6 else 1)
         sub_poly = random_poly(sub, crc_rng("kernel-roots-sub", p, k), 4)
 
         def run():
@@ -471,8 +569,12 @@ class TestKernels:
             ] + [pr.roots_in(sub_poly, k), pr.roots_in(sub_poly, 3 if k == 6 else k)]
 
         fast = run()
-        monkeypatch.setattr(pr, "kernel", pr._Objects)  # element objects throughout
+        # element objects throughout, UniPoly's arithmetic included; the
+        # phi_mod store holds the scalars of the kernel that filled it
+        clear_caches()
+        monkeypatch.setattr(pr, "kernel", ObjectKernel)
         slow = run()
+        clear_caches()
         assert fast == slow
         # the int rational roots are the degree-1 factors of the object path
         for f, (roots, *_) in zip(polys, fast):
@@ -482,28 +584,32 @@ class TestKernels:
 
     @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
     def test_kernel_operations_match_unipoly(self, p, k):
+        # UniPoly runs in the kernel, so both are checked against the reference
         ctx = ff.make_field(p, k)
-        K = pr.kernel(ctx)
+        K, R = pr.kernel(ctx), ObjectKernel(ctx)
         rng = crc_rng("kernel-ops", p, k)
         for _ in range(6):
             a = random_poly(ctx, rng, rng.randrange(0, 7))
             b = random_poly(ctx, rng, rng.randrange(0, 4))
-            ka, kb = K.to_list(a), K.to_list(b)
+            ka, kb, ra, rb = K.to_list(a), K.to_list(b), R.to_list(a), R.to_list(b)
             assert K.to_poly(ka) == a
             quo, rem = K.divmod(ka, kb)
-            assert (K.to_poly(quo), K.to_poly(rem)) == a.divmod(b)
-            assert K.to_poly(K.gcd(ka, kb)) == a.gcd(b)
-            assert K.to_poly(K.sub(ka, kb)) == a - b
-            assert K.to_poly(K.monic(ka)) == a.monic()
-            assert K.to_poly(K.derivative(ka)) == a.derivative()
+            assert (K.to_poly(quo), K.to_poly(rem)) == a.divmod(b) == tuple(
+                R.to_poly(c) for c in R.divmod(ra, rb))
+            assert K.to_poly(K.mul(ka, kb)) == a * b == R.to_poly(R.mul(ra, rb))
+            assert K.to_poly(K.gcd(ka, kb)) == a.gcd(b) == R.to_poly(R.gcd(ra, rb))
+            assert K.to_poly(K.sub(ka, kb)) == a - b == R.to_poly(R.sub(ra, rb))
+            assert K.to_poly(K.monic(ka)) == a.monic() == R.to_poly(R.monic(ra))
+            assert K.to_poly(K.derivative(ka)) == a.derivative() == R.to_poly(R.derivative(ra))
             assert K.to_poly(K.powmod(ka, ctx.q + 3, kb)) == object_pow_mod(a, ctx.q + 3, b)
+            # the p-th root undoes the coefficient-wise Frobenius of pth_power
+            power = a.pth_power()
+            assert K.to_poly(K.pth_root(K.to_list(power))) == a
+            assert R.pth_root(R.to_list(power)) == ra
             rows = [ka, kb, []]
             x = ctx.from_encoding(rng.randrange(ctx.q))
             values = [K.elem(c) for c in K.evaluate_rows(rows, K.scalar(x))]
-            expected = [a.evaluate(x), b.evaluate(x), ctx.zero()]
-            while expected and expected[-1].is_zero():
-                expected.pop()
-            assert values == expected
+            assert values == R.evaluate_rows([ra, rb, []], x)
             for c in a.coeffs:
                 s = K.scalar(c)
                 assert K.elem(s) == c and K.elem(K.neg(s)) == -c
