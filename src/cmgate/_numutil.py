@@ -6,7 +6,6 @@ Everything here is exact integer arithmetic sized for desk-scale inputs
 
 from __future__ import annotations
 
-import hashlib
 import random
 from math import gcd
 
@@ -84,9 +83,10 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def crc_rng(*key) -> random.Random:
-    """Deterministic RNG keyed by a stable hash of the arguments.
+    """Deterministic RNG keyed by the arguments' repr.
 
-    Python's built-in hash() is salted per process, so we go through sha256.
+    A str seed is hashed by `random` itself (sha512, from the lean `_sha512`
+    module), so the stream is the same in every process and under every
+    PYTHONHASHSEED, unlike hash(), and no hashlib (hence no OpenSSL) loads.
     """
-    digest = hashlib.sha256(repr(key).encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(repr(key))

@@ -16,6 +16,7 @@ a one-point trace filter and a count first.
 from __future__ import annotations
 
 import os
+from itertools import chain
 from math import gcd, isqrt
 
 from . import _cache, ecurve, endoring, ffield
@@ -248,11 +249,17 @@ def _collect_roots_sweep(D: int, p: int, m: int, h: int) -> list[FieldElement]:
         if isinstance(val, endoring.CMOrder) and val.D == D
     ]
     if len(roots) < h and any(val is endoring.UNSUPPORTED for val in candidates.values()):
-        raise UnsupportedLevel(
-            f"H_{D} mod {p}: unclassifiable candidate root "
-            f"(conductor beyond the vendored levels)"
-        )
+        raise _unclassifiable(D, p)
     return roots
+
+
+def _unclassifiable(D: int, p: int) -> UnsupportedLevel:
+    """The error of a collector that skipped a candidate it could not
+    classify and found fewer than h roots."""
+    return UnsupportedLevel(
+        f"H_{D} mod {p}: unclassifiable candidate root "
+        f"(conductor beyond the vendored levels)"
+    )
 
 
 def _collect_roots_sampled(D: int, p: int, m: int, h: int) -> list[FieldElement]:
@@ -291,13 +298,18 @@ def _collect_roots_sampled(D: int, p: int, m: int, h: int) -> list[FieldElement]
                     if o.D == D:
                         stack.append(nb)
 
-    attempts = 0
-    cap = 60000
-    while len(found) < h and attempts < cap:
-        attempts += 1
-        j = ctx.from_encoding(rng.randrange(q))
-        if j.encoding() in found:
+    # draws from the stream, each encoding classified once; after q draws,
+    # every encoding not yet drawn in increasing order, so the whole field
+    # is covered and a short root set is never a matter of luck
+    drawn = bytearray(q)
+    unclassified = False
+    for n in chain((rng.randrange(q) for _ in range(q)), range(q)):
+        if len(found) >= h:
+            break
+        if drawn[n] or n in found:
             continue
+        drawn[n] = 1
+        j = ctx.from_encoding(n)
         jm = ffield.minimal_field(j)
         if jm.ctx.k != m:
             continue
@@ -310,14 +322,17 @@ def _collect_roots_sampled(D: int, p: int, m: int, h: int) -> list[FieldElement]
             continue
         try:
             order = endoring.provider_a_disc(jm)
-        except (UnsupportedLevel, SupersingularInput):
+        except UnsupportedLevel:
+            unclassified = True
+            continue
+        except SupersingularInput:
             continue
         if order.D == D:
             absorb(j)
-    if len(found) < h:
-        raise SizeExceeded(
-            f"H_{D} mod {p}: sampling found {len(found)} of {h} roots"
-        )
+    # an exhausted field with fewer than h roots is a degree-law failure,
+    # which hilbert_mod_p reports, unless a candidate went unclassified
+    if len(found) < h and unclassified:
+        raise _unclassifiable(D, p)
     return sorted(found.values(), key=lambda r: r.encoding())
 
 

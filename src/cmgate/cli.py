@@ -284,9 +284,17 @@ def _cmd_volcano(args):
 
 def _cmd_neighbors(args):
     j = make_field(args.p, args.k).from_encoding(args.j)
-    nbs = endoring.isogenous_neighbors(j, args.ell)
+    beyond = []
+    nbs = endoring.isogenous_neighbors(j, args.ell, beyond=beyond)
     result = {"neighbors": [{"j": _elt(w), "multiplicity": m} for w, m in nbs]}
-    return "pass", result, [f"deg {w.ctx.k} enc {w.encoding()} (x{m})" for w, m in nbs]
+    lines = [f"deg {w.ctx.k} enc {w.encoding()} (x{m})" for w, m in nbs]
+    if not beyond:
+        return "pass", result, lines
+    result["beyond_size_bound"] = [
+        {"factor_degree": d, "root_field_degree": k, "multiplicity": m} for d, k, m in beyond]
+    lines += [f"factor of degree {d} (x{m}): roots in F_{args.p}^{k}, beyond the size bound"
+              for d, k, m in beyond]
+    return "inconclusive", result, lines
 
 
 def _cmd_isogeny_path(args):
@@ -538,6 +546,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "n0" in vars(args) and args.n0 >= args.nmax:
+            parser.error(f"--n0 {args.n0} leaves nothing to sweep below --nmax {args.nmax}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:

@@ -24,6 +24,7 @@ from . import _cache, ecurve, ffield, polyring
 from .errors import (
     InternalInvariant,
     ProviderDisagreement,
+    SizeExceeded,
     SupersingularInput,
     UnsupportedLevel,
     _require,
@@ -182,13 +183,26 @@ def phi_at_j(level: int, j: FieldElement) -> UniPoly:
     return K.to_poly(_phi_at(level, j, K))
 
 
-def isogenous_neighbors(j: FieldElement, level: int) -> list[tuple[FieldElement, int]]:
-    """Roots of Phi_level(j, T) with multiplicity, each in its minimal field."""
+def isogenous_neighbors(
+    j: FieldElement, level: int, beyond: list | None = None
+) -> list[tuple[FieldElement, int]]:
+    """Roots of Phi_level(j, T) with multiplicity, each in its minimal field.
+
+    An irreducible factor whose root field exceeds the size bound raises
+    SizeExceeded; given a list `beyond`, its (degree, root-field degree,
+    multiplicity) goes there instead and the other factors' roots are kept.
+    """
     poly = phi_at_j(level, j)
     out = []
     for factor, mult in polyring.factor_univariate(poly):
         target_deg = j.ctx.k * factor.degree()
-        target = make_field(j.ctx.p, target_deg)  # SizeExceeded if too big
+        try:
+            make_field(j.ctx.p, target_deg)
+        except SizeExceeded:
+            if beyond is None:
+                raise
+            beyond.append((factor.degree(), target_deg, mult))
+            continue
         for root in polyring.roots_in(factor, target_deg):
             out.append((ffield.minimal_field(root), mult))
     return out

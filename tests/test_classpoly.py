@@ -180,6 +180,57 @@ class TestHilbertModP:
         assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 19 for c in ref]
 
 
+class TestCompleteSampler:
+    # each pair's root field lies above SWEEP_MAX_Q; sampling with
+    # replacement gave up on all three after 60,000 draws
+    @pytest.mark.parametrize("D,p", [(-7, 25097), (-7, 40009), (-24, 251)])
+    def test_finds_the_roots_draws_alone_missed(self, D, p):
+        H = cp.hilbert_mod_p(D, p)
+        assert H.root_ctx.q > cp.SWEEP_MAX_Q
+        ref = cp.reference_table()[D]
+        assert [c.coeffs[0] for c in H.poly.coeffs] == [c % p for c in ref]
+
+    def test_exhausted_field_names_the_unclassifiable_root(self):
+        # H_-44 mod 23 has its roots in F_{23^3}; provider A cannot classify
+        # every candidate there, so the whole field yields fewer than h roots
+        clear_caches()
+        try:
+            with pytest.raises(UnsupportedLevel, match="unclassifiable candidate root"):
+                cp.hilbert_mod_p(-44, 23)
+        finally:
+            clear_caches()
+
+    @pytest.mark.parametrize("answer,error", [
+        ("unsupported", UnsupportedLevel), ("other D", ProviderDisagreement)])
+    def test_exhausted_field_with_patched_provider(self, answer, error, monkeypatch):
+        # a provider A that classifies no candidate as D makes the sampler
+        # visit every j of F_{19^3}: an unclassifiable skip is named as such,
+        # and without one the root count fails the degree law
+        visited = []
+
+        def provider(j):
+            visited.append(j.encoding())
+            if answer == "unsupported":
+                raise UnsupportedLevel("patched")
+            return er.CMOrder(*er.split_discriminant(-31 * 4))
+
+        clear_caches()
+        monkeypatch.setattr(er, "provider_a_disc", provider)
+        try:
+            with pytest.raises(error):
+                cp.hilbert_mod_p(-31, 19)
+        finally:
+            clear_caches()
+        # every j of degree 3 with a trace of D = -31 was classified once
+        ctx = ff.make_field(19, 3)
+        traces = cp._representation_traces(-31, ctx.q, 19)
+        wanted = sorted(
+            n for n in range(ctx.q)
+            if ff.element_degree(ctx.from_encoding(n)) == 3
+            and abs(ec.trace_of_j(ctx.from_encoding(n)).t) in traces)
+        assert sorted(visited) == wanted
+
+
 class TestDegreeLawFaults:
     @staticmethod
     def mislabelled_neighbor(H):

@@ -185,6 +185,24 @@ class TestCommands:
         total = sum(n["multiplicity"] for n in payload["result"]["neighbors"])
         assert total == 3
 
+    def test_neighbors_beyond_the_size_bound(self):
+        # one cubic factor of Phi_3(j, T) has its roots in F_{257^6}: the
+        # rational neighbour is still listed, the factor is named, and the
+        # verdict is inconclusive rather than a size error
+        argv = ("neighbors", "--p", "257", "--k", "2", "--j", "12345", "--ell", "3")
+        code, payload = run_json(*argv)
+        assert code == cli.EXIT_PASS and payload["verdict"] == "inconclusive"
+        assert payload["result"] == {
+            "neighbors": [{"j": {"deg": 2, "enc": 60805}, "multiplicity": 1}],
+            "beyond_size_bound": [
+                {"factor_degree": 3, "root_field_degree": 6, "multiplicity": 1}],
+        }
+        code, out = run_cli(*argv)
+        assert out.splitlines() == [
+            "deg 2 enc 60805 (x1)",
+            "factor of degree 3 (x1): roots in F_257^6, beyond the size bound",
+        ]
+
     def test_usage_error_exit_code(self):
         code, _ = run_cli("ao-gate", "--p", "5")
         assert code == 2
@@ -196,6 +214,8 @@ class TestCommands:
         ("support-modular", "--p", "5", "--A", "t", "--B", "t^5", "--dmax", "2"),
         ("support-mult", "--p", "5", "--A", "t", "--B", "t^2", "--nmax", "0"),
         ("construct-points", "--p", "5", "--curve", "X*Y - 1", "--count", "0"),
+        ("support-mult", "--p", "5", "--A", "t", "--B", "t+1", "--nmax", "3", "--n0", "5"),
+        ("support-cyclo", "--p", "5", "--A", "t", "--B", "t^5", "--nmax", "3", "--n0", "3"),
     ])
     def test_empty_sweep_is_a_usage_error(self, argv, capsys):
         # an empty sweep is no falsification candidate (ao-gate exited 3) and
@@ -337,6 +357,27 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_no_process_loads_hashlib(self):
+        # hashlib loads OpenSSL, a few MB of every process's peak RSS; the
+        # seeded streams hash through `random`'s own sha512 instead
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        script = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import cmgate.cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    assert cmgate.cli.run(['hilbert', '--D', '-40', '--p', '103']) == 0\n"
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestDeterminism:
     def test_byte_identical_json(self):
@@ -359,6 +400,28 @@ class TestDeterminism:
         for hashseed in ("1", "99"):
             env = dict(os.environ, PYTHONHASHSEED=hashseed)
             proc = subprocess.run(argv, capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_seeded_streams_ignore_the_hash_seed(self):
+        # crc_rng must draw the same numbers in every process, whatever its
+        # PYTHONHASHSEED
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        script = (
+            "from cmgate._numutil import crc_rng\n"
+            "rng = crc_rng('bsgs', 257, 2, (3, 'x'))\n"
+            "print([rng.randrange(1 << 30) for _ in range(8)])\n"
+        )
+        outputs = []
+        for hashseed in ("1", "99"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hashseed)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  env=env, text=True)
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]

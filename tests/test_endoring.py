@@ -6,7 +6,9 @@ from cmgate import ecurve as ec
 from cmgate import endoring as er
 from cmgate import ffield as ff
 from cmgate import polyring as pr
-from cmgate.errors import ProviderDisagreement, SupersingularInput, UnsupportedLevel
+from cmgate.errors import (
+    ProviderDisagreement, SizeExceeded, SupersingularInput, UnsupportedLevel,
+)
 from cmgate._numutil import crc_rng
 
 F5 = ff.make_field(5, 1)
@@ -101,6 +103,19 @@ class TestIsogenousNeighbors:
             back = [w.encoding() for w, _ in er.isogenous_neighbors(nb, 2)
                     if w.ctx is j.ctx]
             assert j.encoding() in back
+
+    def test_factor_beyond_the_size_bound(self):
+        # Phi_3(12345, T) over F_{257^2} has one rational root and a cubic
+        # factor whose roots live in F_{257^6}, beyond SIZE_BOUND: without a
+        # `beyond` list that raises, with one the factor is set aside
+        j = ff.make_field(257, 2).from_encoding(12345)
+        with pytest.raises(SizeExceeded):
+            er.isogenous_neighbors(j, 3)
+        beyond = []
+        neighbors = er.isogenous_neighbors(j, 3, beyond=beyond)
+        assert [(w.ctx.k, w.encoding(), m) for w, m in neighbors] == [(2, 60805, 1)]
+        assert beyond == [(3, 6, 1)]
+        assert sum(m for _, m in neighbors) + sum(d * m for d, _, m in beyond) == 4
 
 
 class TestVolcanoLevel:
