@@ -2,14 +2,17 @@
 """Check ecurve.trace_table against point counts, and the orbits of
 ecurve.trace_classes against the element walk of ffield.frobenius, on every
 field the table serves in a sweep: each F_{p^k}, p >= 5, with
-q = p^k <= classpoly.SWEEP_MAX_Q.
+q = p^k <= classpoly.SWEEP_MAX_Q.  Then check the table of each F_{p^2},
+5 <= p < 256, that gates._supersingular_polynomial builds beyond that bound
+(the only tables with 3-byte slots) on a seeded sample of SAMPLE orbits.
 
-For every j other than 0 and 1728, the table's trace must equal the count of
-the fixed model of j's orbit, made once per Frobenius orbit on its least
-conjugate (conjugate j have conjugate models, hence one trace).  Every orbit
-of trace_classes, of size d, must be the least element of its orbit followed
-by its images under ffield.frobenius, and the orbits must partition the field.
-Prints one line per degree k and the total; exits 1 on the first mismatch.
+For every j compared other than 0 and 1728, the table's trace must equal the
+count of the fixed model of j's orbit, made once per Frobenius orbit on its
+least conjugate (conjugate j have conjugate models, hence one trace).  Every
+orbit of trace_classes, of size d, must be the least element of its orbit
+followed by its images under ffield.frobenius, and the orbits must partition
+the field.  Prints one line per degree k, with its slowest table build, one
+line for the sampled F_{p^2} and the total; exits 1 on the first mismatch.
 
 Run from the repository root:  python3 devtools/check_trace_table.py
 """
@@ -21,8 +24,11 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cmgate import clear_caches, ecurve, ffield  # noqa: E402
-from cmgate._numutil import is_prime  # noqa: E402
+from cmgate._numutil import crc_rng, is_prime  # noqa: E402
 from cmgate.classpoly import SWEEP_MAX_Q  # noqa: E402
+
+#: the orbits compared in each sampled F_{p^2}
+SAMPLE = 40
 
 
 def fields():
@@ -34,13 +40,28 @@ def fields():
                 k += 1
 
 
-def check(p: int, k: int) -> int:
-    """The number of j compared in F_{p^k}; raises SystemExit on a mismatch."""
+def sampled_fields():
+    """The F_{p^2} of _supersingular_polynomial, 5 <= p < 256, that fields()
+    leaves out."""
+    return [(p, 2) for p in range(5, 256) if is_prime(p) and p * p > SWEEP_MAX_Q]
+
+
+def check(p: int, k: int, sample: int | None = None) -> tuple[int, float]:
+    """(the number of j compared, the seconds the table took) over F_{p^k}:
+    every j, or the least conjugates of sample seeded orbits, and the orbit
+    walk when every j is compared; raises SystemExit on a mismatch."""
     ctx = ffield.make_field(p, k)
+    start = time.perf_counter()
     trace = ecurve.trace_table(ctx)
+    build_s = time.perf_counter() - start
     special = {0, ctx.from_int(1728).encoding()}
+    if sample is None:
+        encodings = range(ctx.q)
+    else:
+        rng = crc_rng("check-trace-table", p, k)
+        encodings = [rng.randrange(ctx.q) for _ in range(sample)]
     counted = {}
-    for n in range(ctx.q):
+    for n in encodings:
         if n in special:
             continue
         key = ffield.orbit_key(ctx.from_encoding(n))
@@ -50,9 +71,10 @@ def check(p: int, k: int) -> int:
         if trace(n) != counted[key]:
             sys.exit(f"MISMATCH over F_{p}^{k} at j = {n}: "
                      f"table {trace(n)}, count {counted[key]}")
-    check_orbits(ctx)
+    if sample is None:
+        check_orbits(ctx)
     clear_caches()  # else the trace store keeps every orbit of every field
-    return ctx.q - len(special)
+    return len([n for n in encodings if n not in special]), build_s
 
 
 def check_orbits(ctx) -> None:
@@ -80,15 +102,28 @@ def check_orbits(ctx) -> None:
 
 def main() -> None:
     start = time.perf_counter()
-    by_k: dict[int, list[int]] = {}
+    by_k: dict[int, list] = {}
     for p, k in fields():
-        tally = by_k.setdefault(k, [0, 0])
+        njs, build_s = check(p, k)
+        tally = by_k.setdefault(k, [0, 0, (0.0, None)])
         tally[0] += 1
-        tally[1] += check(p, k)
-    for k, (nfields, njs) in sorted(by_k.items()):
-        print(f"k = {k}: {nfields} fields, {njs} j, table = counts, orbits = walk")
-    total = sum(n for n, _ in by_k.values())
+        tally[1] += njs
+        tally[2] = max(tally[2], (build_s, p))
+    for k, (nfields, njs, (slowest, p)) in sorted(by_k.items()):
+        print(f"k = {k}: {nfields} fields, {njs} j, table = counts, orbits = walk; "
+              f"slowest table F_{p}^{k} {slowest * 1e3:.1f} ms")
+    total = sum(n for n, _, _ in by_k.values())
     print(f"all {total} fields with q <= {SWEEP_MAX_Q} agree "
+          f"({time.perf_counter() - start:.1f} s)")
+    start = time.perf_counter()
+    sampled = sampled_fields()
+    njs, (slowest, p) = 0, (0.0, None)
+    for p_, k in sampled:
+        n, build_s = check(p_, k, SAMPLE)
+        njs += n
+        slowest, p = max((slowest, p), (build_s, p_))
+    print(f"{len(sampled)} fields F_p^2 with q > {SWEEP_MAX_Q}, p < 256: {njs} sampled j "
+          f"agree; slowest table F_{p}^2 {slowest * 1e3:.1f} ms "
           f"({time.perf_counter() - start:.1f} s)")
 
 

@@ -3,11 +3,11 @@ point counts, Frobenius trace data, supersingularity, and the trace classes
 of a field: its Frobenius orbits of j grouped by orbit size and |t|.
 
 A field with log tables gets the trace of every j at once from its trace
-table: for y^2 = x^3 + a0 x + b with a0 in {1, g}, the point counts over all
-b form one cyclic convolution over (F_q, +), computed as a single exact
-integer product by Kronecker substitution (Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
-44 (2009)), and each fixed model is a twist of one of these curves.
+table: every fixed model is a twist of one curve y^2 = x^3 + a x + a, whose
+character sums over all a form one cyclic correlation over the discrete logs,
+computed as a single exact integer product by Kronecker substitution (see
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44 (2009)).
 
 Counting is a quadratic-character scan up to NAIVE_THRESHOLD, the one cut
 point between the two counts, and baby-step giant-step over the Hasse
@@ -26,6 +26,7 @@ coefficient tuples in larger extension fields.
 
 from __future__ import annotations
 
+import struct
 from math import isqrt
 from typing import Callable
 
@@ -479,94 +480,102 @@ def trace_of_j(j: FieldElement, key: int | None = None) -> FrobeniusData:
     return FrobeniusData(ctx.q, t)
 
 
-def _pack(slots, values, size: int, span: int) -> int:
-    """The integer whose digit slots[i], in base 2^(8 size) and below
-    position span, is values[i]; every other digit is 0."""
-    digits = bytearray(size * span)
-    for s, n in zip(slots, values):
-        digits[size * s:size * (s + 1)] = n.to_bytes(size, "little")
-    return int.from_bytes(digits, "little")
+def _correlate(f, g) -> tuple[int, ...]:
+    """h(l) = sum_i f(i) g(i - l), indices mod n = len(f) = len(g), for
+    lists of ints in [0, 256).
+
+    Kronecker substitution makes h one exact integer product: f packed in
+    slots of 1 to 4 bytes, wide enough for the largest sum max(f) sum(g),
+    times g reversed, with the upper n slots of the product folded onto the
+    lower n.
+    """
+    n = len(f)
+    bound = max(f) * sum(g)
+    size = next((b for b in (1, 2, 3, 4) if bound < 1 << 8 * b), 0)
+    _require(size and min(f) >= 0 and min(g) >= 0 and max(f) < 256 and max(g) < 256,
+             "every slot holds its sum")
+    width = 8 * size
+    packed_f, packed_g = bytearray(size * n), bytearray(size * n)
+    packed_f[::size] = bytes(f)
+    packed_g[::size] = bytes(g[:1] + g[:0:-1])  # slot m holds g(-m)
+    product = int.from_bytes(packed_f, "little") * int.from_bytes(packed_g, "little")
+    product = (product + (product >> width * n)) & ((1 << width * n) - 1)
+    data = product.to_bytes(size * n, "little")
+    if size == 3:
+        wide = bytearray(4 * n)
+        for b in range(3):
+            wide[b::4] = data[b::3]
+        data, size = wide, 4
+    h = struct.unpack(f"<{n}{'BH I'[size - 1]}", data)
+    _require(sum(h) == sum(f) * sum(g), "the correlation keeps the total")
+    return h
 
 
-def _cubic_fibres(ctx: FieldCtx, e: int) -> list[int]:
-    """H[v] = #{x in F_q : x^3 + g^e x = v} for every encoding v; g is the
-    primitive element of the log tables."""
-    p, q, qm1, exp = ctx.p, ctx.q, ctx.qm1, ctx.exp
-    fibres = [0] * q
-    if ctx.k == 1:
-        a0 = exp[e]
-        for x in range(p):
-            fibres[(x * x + a0) * x % p] += 1
-        return fibres
-    zech = ctx.zech
-    fibres[0] = 1  # x = 0
-    for u in range(qm1):  # x = g^u: x^3 + g^e x = g^(u + e) (1 + g^(2u - e))
-        z = zech[(2 * u - e) % qm1]
-        fibres[exp[(u + e + z) % qm1] if z >= 0 else 0] += 1
-    return fibres
+def _fibres(ctx: FieldCtx) -> tuple[list[int], list[int]]:
+    """The fibres of u -> v = (u - 1)^3 / u over the units u, indexed by
+    log v, and by q - 1 for v = 0: (G, N), where G[v] is the sum of chi(u)
+    over the fibre of v and N[v] its size.
+
+    u - 1 changes only the constant coefficient of u = g^i, and
+    log v = 3 log(u - 1) - i; u = 1 alone lands on v = 0.
+    """
+    p, qm1, exp, log = ctx.p, ctx.qm1, ctx.exp, ctx.log
+    signed, count = [0] * ctx.q, [0] * ctx.q
+    for i in range(qm1):
+        n = exp[i]
+        m = n - 1 if n % p else n + p - 1  # u - 1
+        s = (3 * log[m] - i) % qm1 if m else qm1
+        count[s] += 1
+        signed[s] += -1 if i & 1 else 1
+    return signed, count
 
 
 def trace_table(ctx: FieldCtx) -> Callable[[int], int]:
     """The trace over ctx, a field with log tables, of the fixed model of
     every j other than 0 and 1728, as a function of j's encoding.
 
-    For a0 = g^e, e in {0, 1}, the affine points of y^2 = x^3 + a0 x + b
-    number R(b) = sum_v H(v) (chi(v + b) + 1), with H from _cubic_fibres and
-    chi the quadratic character; H(-v) = H(v), so R is the convolution of H
-    with chi + 1 over (F_q, +) = (Z/p)^k.  Kronecker substitution turns it
-    into one exact integer product: the digits of an encoding, read in base
-    2p - 1, index W-bit slots, where 2q < 2^W bounds every slot of the
-    product, and folding each digit mod p makes the convolution cyclic.
-    The fixed model (3jw, 2jw^2), w = 1728 - j, is the twist by lambda of
-    (a0, lambda^3 b) with lambda^2 = a0 / a, so t = chi(lambda) (q - R(lambda^3 b)).
+    For w = 1728 - j and a = 27j / (4w), E_a: y^2 = x^3 + a x + a has
+    j-invariant j (a -> j maps F_q minus {0, -27/4} onto F_q minus
+    {0, 1728}), and the fixed model (3jw, 2jw^2) is its twist by
+    lambda = 2w/3, so t_j = chi(lambda) t_a (Silverman, AEC X.5).  With
+    u = x + 1, x^3 + a x + a = u (v + a) for v = (u - 1)^3 / u, so
+    t_a = -chi(-1) - sum_v G(v) chi(v + a), G as in _fibres, in [-3, 3].
+    For a = g^l and v = g^i, chi(v + a) = (-1)^l (tau(i - l) - 1), where
+    tau(m) = chi(1 + g^m) + 1 is 0, 1 or 2: one _correlate of G + 3 with tau
+    over the logs, P(l) = sum_i (G(g^i) + 3) tau(i - l), each at most 6q,
+    gives t_a = -chi(-1) - (-1)^l (P(l) + G(0) - 3 sum(tau) - sum_i G(g^i)).
 
-    Every entry is checked against the Hasse bound and against the 2-torsion:
-    the points with y = 0 are the H(-b) roots of x^3 + a0 x + b and the others
-    pair up, so R(b) = H(-b) mod 2; for a nonsingular curve, #E = R(b) + 1 is
-    even exactly when H(-b) > 0.
+    The fibres are checked by their sums, sum N = q - 1 and sum G = 0, and
+    every entry against the Hasse bound and the 2-torsion: the points with
+    y = 0 are the N(-a) roots of x^3 + a x + a and the others pair up, so
+    q - t_a = N(-a) mod 2.  Mod 2, P(l) = G(-a) + 3 = N(-a) + 1, as tau is
+    odd only at the log of -1, so the parity check sees every odd error in a
+    slot of the product.
     """
-    p, k, q, qm1, half, exp, log = ctx.p, ctx.k, ctx.q, ctx.qm1, ctx.half, ctx.exp, ctx.log
-    base = 2 * p - 1
-    slot = [0]  # slot[n]: the base-p digits of encoding n, read in base 2p - 1
-    for i in range(k):
-        step = base**i
-        slot = [s + c * step for c in range(p) for s in slot]
-    size = next(n for n in (1, 2, 4) if 2 * q < 1 << 8 * n)  # bytes a slot
-    width, span = 8 * size, slot[-1] + 1
-    _require(2 * q < 1 << width, "a slot holds every convolution sum, at most 2q")
-    chi1 = _pack(slot, [1] + [0 if log[v] & 1 else 2 for v in range(1, q)], size, span)
-    folds = [  # (shift, mask): the slots whose digit i is below p - 1 take digit i + p
-        (width * p * base**i,
-         int.from_bytes((b"\xff" * (size * (p - 1) * base**i)
-                         + bytes(size * p * base**i)) * base ** (k - 1 - i), "little"))
-        for i in range(k)
-    ]
-    neg = [0] + [exp[log[v] + half] for v in range(1, q)]
-    hasse = isqrt(4 * q)
-    affine = []
-    for e in (0, 1):
-        fibres = _cubic_fibres(ctx, e)
-        _require(sum(fibres) == q, "the cubic's fibres partition F_q")
-        product = _pack(slot, fibres, size, span) * chi1
-        for shift, mask in folds:
-            product += (product >> shift) & mask
-        sums = product.to_bytes(size * base**k, "little")
-        row = [int.from_bytes(sums[size * s:size * (s + 1)], "little") for s in slot]
-        _require(all(abs(q - r) <= hasse and (r - fibres[neg[b]]) % 2 == 0
-                     for b, r in enumerate(row)),
-                 "a tabled count breaks the Hasse bound or the 2-torsion parity")
-        affine.append(row)
+    p, q, qm1, half, exp, log = ctx.p, ctx.q, ctx.qm1, ctx.half, ctx.exp, ctx.log
+    signed, count = _fibres(ctx)
+    _require(sum(count) == qm1 and sum(signed) == 0, "the fibres partition the units")
+    # 1 + g^m changes only the constant coefficient of g^m
+    tau = [2 - 2 * (log[y] & 1) if y else 1
+           for y in [n + 1 if n % p != p - 1 else n + 1 - p for n in exp[:qm1]]]
+    units = signed[:qm1]
+    correlated = _correlate([s + 3 for s in units], tau)
+    base = signed[qm1] - 3 * sum(tau) - sum(units)
+    chi_minus_1 = -1 if half & 1 else 1
+    traces = [-chi_minus_1 - (-c - base if l & 1 else c + base)
+              for l, c in enumerate(correlated)]
+    hasse = 4 * q
+    _require(all(t * t <= hasse for t in traces), "a tabled trace breaks the Hasse bound")
+    _require(all((q - t - count[(l + half) % qm1]) % 2 == 0 for l, t in enumerate(traces)),
+             "a tabled count breaks the 2-torsion parity")
     k1728 = ctx.from_int(1728)
-    log2, log3 = log[2], log[3]
+    log_27_4 = log[27 % p] - log[4]
+    log6 = log[2] + log[3]  # the parity of log(2/3)
 
     def trace(j: int) -> int:
-        lj = log[j]
         lw = log[(k1728 - ctx.from_encoding(j)).encoding()]
-        la = (log3 + lj + lw) % qm1
-        e = la & 1  # a0 = g^e makes a0 / a a square
-        ll = (e - la) % qm1 // 2  # log lambda
-        r = affine[e][exp[(3 * ll + log2 + lj + 2 * lw) % qm1]]
-        return -(q - r) if ll & 1 else q - r
+        t = traces[(log_27_4 + log[j] - lw) % qm1]
+        return -t if (log6 + lw) & 1 else t
 
     return trace
 

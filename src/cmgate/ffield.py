@@ -350,28 +350,60 @@ class _TableCtx(FieldCtx):
                 break
         else:
             raise InternalInvariant(f"no primitive element in {self!r}")
+        # the powers of g, walked through the table of n -> n g
+        times_g = self._times_table(g)
         exp = [0] * (2 * qm1)
         log = [0] * q
-        acc = one
+        n = 1
         for i in range(qm1):
-            n = _encode(acc, p)
-            exp[i] = exp[i + qm1] = n
+            exp[i] = n
             log[n] = i
-            acc = self._mul_coeffs(acc, g)
+            n = times_g[n]
+        _require(n == 1, "g^(q - 1) = 1")
+        exp[qm1:] = exp[:qm1]
         self.exp, self.log = exp, log
         if k == 1:
             self.zech = None
             self._elem = _PrimeElement
         else:
             # 1 + g^i changes only the constant coefficient of g^i
-            zech = []
-            for n in exp[:qm1]:
-                m = n + 1 if n % p != p - 1 else n + 1 - p
-                zech.append(log[m] if m else -1)
+            zech = [log[n + 1 if n % p != p - 1 else n + 1 - p] for n in exp[:qm1]]
+            zech[self.half] = -1  # 1 + g^half = 1 - 1 = 0
             self.zech = zech
             self._elem = _ZechElement
         self._zero = self._elem(self, 0)
         self._one = self._elem(self, 1)
+
+    def _times_table(self, g: tuple[int, ...]) -> list[int]:
+        """The encoding of n g for every encoding n.
+
+        Multiplication by g is F_p-linear on the digits of n.  Split
+        n = lo + p^h hi, h = k // 2: the digit vectors of lo g and (p^h hi) g,
+        read in base 2p - 1, add without a carry, and two tables reduce the
+        low h and the high k - h digits of the sum mod p into an encoding.
+        """
+        p, k = self.p, self.k
+        if k == 1:
+            return [n * g[0] % p for n in range(p)]
+        base, h = 2 * p - 1, k // 2
+
+        def digit_vectors(shift: int, m: int) -> list[int]:
+            out = []
+            for n in range(p**m):
+                v = self._mul_coeffs(_decode(n * p**shift, p, k), g)
+                out.append(sum(c * base**d for d, c in enumerate(v)))
+            return out
+
+        def reducer(m: int, scale: int) -> list[int]:
+            red = [0]
+            for d in range(m):
+                red = [r + x % p * scale * p**d for x in range(base) for r in red]
+            return red
+
+        lows, highs = digit_vectors(0, h), digit_vectors(h, k - h)
+        red_low, red_high, cut = reducer(h, 1), reducer(k - h, p**h), base**h
+        return [red_low[s % cut] + red_high[s // cut]
+                for u in highs for s in [u + v for v in lows]]
 
     def zero(self) -> "FieldElement":
         return self._zero

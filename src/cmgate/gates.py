@@ -92,6 +92,15 @@ class GateReport:
     def bump(self, key: str, by: int = 1):
         self.counters[key] = self.counters.get(key, 0) + by
 
+    def at_limit(self, witness_limit: int | None) -> bool:
+        """Whether the witnesses reached witness_limit; the sweep then stops
+        with a fail."""
+        if witness_limit is None or len(self.witnesses) < witness_limit:
+            return False
+        self.verdict = "fail"
+        self.notes.append("sweep stopped at the witness limit")
+        return True
+
     def as_dict(self) -> dict:
         return {
             "gate": self.gate,
@@ -146,12 +155,20 @@ def check_cm_hypothesis(
     Verdict: fail on any cm-mismatch witness; points with a supersingular
     coordinate belong to the declared finite exceptional set; points whose
     conductor cannot be classified are reported as skipped and degrade a
-    would-be pass to inconclusive.
+    would-be pass to inconclusive.  A line X = c or Y = c through a
+    supersingular c lies wholly in that set, which is then not finite: it
+    fails with the supersingular-line witness of _supersingular_line_witness.
     """
     report = GateReport(
         "check-cm-hypothesis", {"p": C.ctx.p, "base_k": C.ctx.k, "k_max": k_max}
     )
     recomputed: dict[tuple[int, int, int], int] = {}
+    witness = _supersingular_line_witness(C, recomputed)
+    if witness is not None:
+        report.bump("supersingular_line")
+        report.witnesses.append(witness)
+        if report.at_limit(witness_limit):
+            return report
     for k in range(1, k_max + 1):
         for x, y in _new_points_at_level(C, k):
             report.bump("points")
@@ -186,9 +203,7 @@ def check_cm_hypothesis(
                 {"kind": "cm-mismatch", "k": k, "x": _elt(x), "y": _elt(y),
                  "disc_x": dx.D, "disc_y": dy.D}
             )
-            if witness_limit is not None and len(report.witnesses) >= witness_limit:
-                report.verdict = "fail"
-                report.notes.append("sweep stopped at the witness limit")
+            if report.at_limit(witness_limit):
                 return report
     if report.witnesses:
         report.verdict = "fail"
@@ -197,6 +212,42 @@ def check_cm_hypothesis(
     else:
         report.verdict = "pass"
     return report
+
+
+def _supersingular_line_witness(C: PlaneCurve, recomputed: dict) -> dict | None:
+    """For the line X = c or Y = c with c supersingular, the first level-1
+    point whose other coordinate is ordinary and classifiable, as a witness:
+    c re-verified by its own count, the other coordinate's order by its own
+    count and walk.  None for every other curve."""
+    if C.is_vertical_line():
+        fixed = 0
+    elif C.is_horizontal_line():
+        fixed = 1
+    else:
+        return None
+    for point in _new_points_at_level(C, 1):
+        if not ecurve.is_supersingular_j(point[fixed]):
+            return None
+        other = point[1 - fixed]
+        if ecurve.is_supersingular_j(other):
+            continue
+        try:
+            disc = endoring.endo_discriminant(other).D
+        except UnsupportedLevel:
+            continue
+        _require(polyring.eval_bi(C.f, *point).is_zero(), "witness: point off the curve")
+        _require(_counted_supersingular(point[fixed]), "witness: c is not supersingular")
+        _require(_recomputed_disc(other, recomputed) == disc, "witness: the disc differs")
+        discs = [None, None]
+        discs[1 - fixed] = disc
+        return {"kind": "supersingular-line", "k": 1, "x": _elt(point[0]), "y": _elt(point[1]),
+                "disc_x": discs[0], "disc_y": discs[1]}
+    return None
+
+
+def _counted_supersingular(j: FieldElement) -> bool:
+    """Whether j is supersingular, from its own count rather than the trace store."""
+    return ecurve.frobenius_data(ecurve.curve_from_j(ffield.minimal_field(j))).t % j.ctx.p == 0
 
 
 def _recomputed_disc(x: FieldElement, recomputed: dict) -> int:
@@ -262,6 +313,8 @@ def andre_oort_gate(
             "falsification sentinel: hypothesis passed the full sweep but the "
             "curve is not a Frobenius-monomial"
         )
+    if report.counters.get("supersingular_line"):
+        return report  # no point of the line has two ordinary coordinates
     # annotate the geometric-isogeny conclusion on the first ISOGENY_SAMPLES
     # ordinary points
     sampled = 0
@@ -319,9 +372,7 @@ def check_mult_hypothesis(
                 {"kind": "order-mismatch", "k": k, "x": _elt(x), "y": _elt(y),
                  "order_x": ox, "order_y": oy}
             )
-            if witness_limit is not None and len(report.witnesses) >= witness_limit:
-                report.verdict = "fail"
-                report.notes.append("sweep stopped at the witness limit")
+            if report.at_limit(witness_limit):
                 return report
     report.verdict = "fail" if report.witnesses else "pass"
     return report
@@ -428,13 +479,10 @@ def modular_support_check(pair: RingElementPair, D_set) -> GateReport:
 
         _radical_support(report, "D", H.poly, pair, {"kind": "modular-support", "D": D}, verify)
 
-    def supersingular(j):
-        # from its own count, not the trace store the polynomial was built from
-        return ecurve.frobenius_data(ecurve.curve_from_j(ffield.minimal_field(j))).t % p == 0
-
     def verify_image(Q):
-        _require(supersingular(A.evaluate(Q)), "witness: A(Q) is not supersingular")
-        _require(not supersingular(B.evaluate(Q)), "witness: B(Q) is supersingular")
+        # from its own count, not the trace store the polynomial was built from
+        _require(_counted_supersingular(A.evaluate(Q)), "witness: A(Q) is not supersingular")
+        _require(not _counted_supersingular(B.evaluate(Q)), "witness: B(Q) is supersingular")
 
     if nonsplit and _radical_support(
         report, "nonsplit_rootset", _supersingular_polynomial(ctx), pair,

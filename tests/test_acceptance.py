@@ -7,7 +7,7 @@ same registry.
 
 import pytest
 
-from cmgate import acceptance, clear_caches, ecurve, endoring, ffield
+from cmgate import acceptance, clear_caches, ecurve, endoring, ffield, gates, polyring
 
 
 @pytest.mark.parametrize("number", sorted(acceptance.REGISTRY))
@@ -58,3 +58,12 @@ def test_criterion_1_compares_two_computations(monkeypatch, target):
         clear_caches()
     assert not result.passed
     assert "over F_5^2" in result.details
+
+
+def test_criterion_6_fails_a_line_through_a_supersingular_j(monkeypatch):
+    # X = 0 over F_5: j = 0 is supersingular, so every point is an exception
+    # and the gate must not pass it with the falsification sentinel
+    line = gates.PlaneCurve(polyring.BiPoly(ffield.make_field(5, 1), {(1, 0): 1}))
+    monkeypatch.setattr(acceptance, "_random_test_curves", lambda count: [line] * count)
+    result = acceptance.criterion_6()
+    assert result.passed, result.details

@@ -2,12 +2,13 @@ from math import isqrt
 
 import pytest
 
-from cmgate import clear_caches
+from cmgate import clear_caches, cli
 from cmgate import ecurve as ec
 from cmgate import endoring as er
 from cmgate import ffield as ff
 from cmgate import polyring as pr
 from cmgate._numutil import crc_rng, factorize
+from cmgate.errors import InternalInvariant
 
 F5 = ff.make_field(5, 1)
 F7 = ff.make_field(7, 1)
@@ -544,12 +545,31 @@ class TestOrbitKeys:
 
 
 # the fields the suite sweeps, and for each k from 1 to 5 at least one field;
-# together they have q = 1 and 3 mod 4 and p = 1 and 2 mod 3
+# together they have q = 1 and 3 mod 4, p = 1 and 2 mod 3, and the 1-, 2- and
+# 3-byte slots of the correlation (F_{149^2}, checked on a seeded sample of j)
 TABLE_FIELDS = [
     (11, 1), (13, 1), (29, 1), (31, 1), (59, 1),
     (5, 2), (13, 2), (17, 2), (23, 2), (29, 2), (43, 2),
-    (5, 3), (7, 3), (11, 3), (5, 4), (5, 5),
+    (5, 3), (7, 3), (11, 3), (5, 4), (5, 5), (149, 2),
 ]
+
+
+def _trace_fault(ctx, fault, monkeypatch):
+    """Make trace_table's helpers err in one way over ctx."""
+    fibres, correlate = ec._fibres, ec._correlate
+    if fault == "entry":  # one slot of the product off by one
+        monkeypatch.setattr(ec, "_correlate", lambda f, g: (correlate(f, g)[0] + 1,
+                                                           *correlate(f, g)[1:]))
+    elif fault == "offset":  # G + 4 packed in place of G + 3
+        monkeypatch.setattr(ec, "_correlate", lambda f, g: correlate([v + 1 for v in f], g))
+    else:  # the fibre of one v dropped
+        def dropped(c):
+            signed, count = fibres(c)
+            v = max(range(c.qm1), key=count.__getitem__)
+            signed[v] = count[v] = 0
+            return signed, count
+
+        monkeypatch.setattr(ec, "_fibres", dropped)
 
 
 class TestTraceTable:
@@ -558,9 +578,29 @@ class TestTraceTable:
         ctx = ff.make_field(p, k)
         trace = ec.trace_table(ctx)
         special = {0, ctx.from_int(1728).encoding()}
-        for j in ff.enumerate_elements(ctx):
-            if j.encoding() not in special:
-                assert trace(j.encoding()) == ec.frobenius_data(ec.curve_from_j(j)).t
+        if ctx.q <= 4096:
+            encodings = range(ctx.q)
+        else:
+            rng = crc_rng("trace-table-sample", p, k)
+            encodings = [rng.randrange(ctx.q) for _ in range(300)]
+        for n in encodings:
+            if n not in special:
+                j = ctx.from_encoding(n)
+                assert trace(n) == ec.frobenius_data(ec.curve_from_j(j)).t
+
+    @pytest.mark.parametrize("fault,check", [
+        ("entry", "2-torsion parity"), ("offset", "Hasse bound"), ("fibre", "partition")])
+    def test_a_fault_raises_rather_than_returns_a_wrong_trace(self, fault, check, monkeypatch):
+        ctx = ff.make_field(7, 3)
+        clear_caches()
+        try:
+            _trace_fault(ctx, fault, monkeypatch)
+            with pytest.raises(InternalInvariant, match=check):
+                ec.trace_table(ctx)
+            # hilbert_mod_p(-31, 7) sweeps F_{7^3}
+            assert cli.run(["hilbert", "--D", "-31", "--p", "7"]) == 3
+        finally:
+            clear_caches()
 
     @pytest.mark.parametrize("p,k", [(29, 1), (7, 3), (29, 2), (5, 4)])
     def test_trace_classes_count_no_spanning_orbit(self, p, k, monkeypatch):

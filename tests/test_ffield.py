@@ -1,7 +1,7 @@
 import pytest
 
 from cmgate import ffield as ff
-from cmgate._numutil import crc_rng, factorize
+from cmgate._numutil import crc_rng, factorize, is_prime
 from cmgate.errors import (
     CharTooSmall,
     CompositeP,
@@ -20,6 +20,33 @@ def brute_smallest_irreducible_quadratic(p):
         if all((a * a + c1 * a + c0) % p for a in range(p)):
             return (c0, c1, 1)
     raise AssertionError
+
+
+def _reference_tables(p, k, modulus):
+    """(exp, log, zech) of F_{p^k} one power-basis multiplication per power
+    of the least primitive encoding g, which is how the tables were built
+    before the digit tables of _TableCtx._times_table."""
+    kernel = ff.FieldCtx(p, k, modulus)  # power-basis tuples only, no tables
+    q = p**k
+    one = _digits(1, p, k)
+    g = next(_digits(n, p, k) for n in range(2, q)
+             if all(kernel._pow_coeffs(_digits(n, p, k), (q - 1) // r) != one
+                    for r in kernel.qm1_factors))
+    exp, log, acc = [], [0] * q, one
+    for i in range(q - 1):
+        n = sum(c * p**d for d, c in enumerate(acc))
+        exp.append(n)
+        log[n] = i
+        acc = kernel._mul_coeffs(acc, g)
+    if k == 1:
+        return exp + exp, log, None
+    plus_one = [n - n % p + (n + 1) % p for n in exp]  # 1 + g^i
+    return exp + exp, log, [log[m] if m else -1 for m in plus_one]
+
+
+# every field with tables and q <= 4096, and F_{251^2}, the largest quadratic one
+TABLE_BUILD_FIELDS = [(p, k) for p in range(5, 4097) if is_prime(p)
+                      for k in range(1, 6) if p**k <= 4096]
 
 
 class TestMakeField:
@@ -65,6 +92,14 @@ class TestMakeField:
 
     def test_idempotent(self):
         assert ff.make_field(5, 2) is ff.make_field(5, 2)
+
+    @pytest.mark.parametrize("fields", [TABLE_BUILD_FIELDS, [(251, 2)]],
+                             ids=["q<=4096", "251^2"])
+    def test_tables_match_the_reference_build(self, fields):
+        for p, k in fields:
+            modulus = ff.make_field(p, k).modulus if k > 1 else (0, 1)
+            ctx = ff._TableCtx(p, k, modulus)
+            assert (ctx.exp, ctx.log, ctx.zech) == _reference_tables(p, k, modulus), (p, k)
 
 
 class TestArith:

@@ -122,6 +122,23 @@ class TestAndreOortGate:
         assert report.conclusion is None
         assert not report.sentinel
 
+    @pytest.mark.parametrize("p,line", [(5, "X"), (5, "Y"), (7, "X - 6")])
+    def test_a_line_through_a_supersingular_j_fails(self, p, line, capsys):
+        # every point has a supersingular coordinate, so the whole line would
+        # be the exceptional set: one level-1 witness with an ordinary other
+        # coordinate, instead of a pass with the falsification sentinel
+        argv = ["--format", "json", "ao-gate", "--p", str(p), "--curve", line, "--kmax", "2"]
+        assert cli.run(argv) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "fail"
+        [w] = out["witnesses"]
+        assert w["kind"] == "supersingular-line" and w["k"] == 1
+        fixed, other = ("x", "y") if line.startswith("X") else ("y", "x")
+        F = ff.make_field(p, 1)
+        assert ec.is_supersingular_j(F.from_encoding(w[fixed]["enc"]))
+        assert w["disc_" + fixed] is None
+        assert w["disc_" + other] == er.endo_discriminant(F.from_encoding(w[other]["enc"])).D
+
     def test_unclassifiable_points_are_sampled(self, capsys):
         # j = 92 over F_223 has the conductor prime 17, beyond the vendored
         # levels: the sweep reports its ordinary points as skipped, while the
