@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Check ecurve.trace_table against point counts, and the orbits of
 ecurve.trace_classes against the element walk of ffield.frobenius, on every
-field the table serves in a sweep: each F_{p^k}, p >= 5, with
-q = p^k <= classpoly.SWEEP_MAX_Q.  Then check the table of each F_{p^2},
-5 <= p < 256, that gates._supersingular_polynomial builds beyond that bound
-(the only tables with 3-byte slots) on a seeded sample of SAMPLE orbits.
+field F_{p^k}, p >= 5, with q = p^k <= FULL_MAX_Q.  Then check the table of
+each extension field with FULL_MAX_Q < q <= 2^16 (among them the F_{p^2}
+with 3-byte slots) on a seeded sample of SAMPLE orbits.
 
 For every j compared other than 0 and 1728, the table's trace must equal the
 count of the fixed model of j's orbit, made once per Frobenius orbit on its
@@ -12,7 +11,7 @@ least conjugate (conjugate j have conjugate models, hence one trace).  Every
 orbit of trace_classes, of size d, must be the least element of its orbit
 followed by its images under ffield.frobenius, and the orbits must partition
 the field.  Prints one line per degree k, with its slowest table build, one
-line for the sampled F_{p^2} and the total; exits 1 on the first mismatch.
+line for the sampled fields and the total; exits 1 on the first mismatch.
 
 Run from the repository root:  python3 devtools/check_trace_table.py
 """
@@ -25,25 +24,26 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cmgate import clear_caches, ecurve, ffield  # noqa: E402
 from cmgate._numutil import crc_rng, is_prime  # noqa: E402
-from cmgate.classpoly import SWEEP_MAX_Q  # noqa: E402
 
-#: the orbits compared in each sampled F_{p^2}
+#: every j is compared in the fields up to this size
+FULL_MAX_Q = 4096
+#: the orbits compared in each sampled field
 SAMPLE = 40
 
 
 def fields():
-    for p in range(5, SWEEP_MAX_Q + 1):
+    for p in range(5, FULL_MAX_Q + 1):
         if is_prime(p):
             k = 1
-            while p**k <= SWEEP_MAX_Q:
+            while p**k <= FULL_MAX_Q:
                 yield p, k
                 k += 1
 
 
 def sampled_fields():
-    """The F_{p^2} of _supersingular_polynomial, 5 <= p < 256, that fields()
-    leaves out."""
-    return [(p, 2) for p in range(5, 256) if is_prime(p) and p * p > SWEEP_MAX_Q]
+    """The extension fields with tables that fields() leaves out."""
+    return [(p, k) for p in range(5, 256) if is_prime(p)
+            for k in range(2, 7) if FULL_MAX_Q < p**k <= ffield._TABLE_MAX]
 
 
 def check(p: int, k: int, sample: int | None = None) -> tuple[int, float]:
@@ -113,17 +113,17 @@ def main() -> None:
         print(f"k = {k}: {nfields} fields, {njs} j, table = counts, orbits = walk; "
               f"slowest table F_{p}^{k} {slowest * 1e3:.1f} ms")
     total = sum(n for n, _, _ in by_k.values())
-    print(f"all {total} fields with q <= {SWEEP_MAX_Q} agree "
+    print(f"all {total} fields with q <= {FULL_MAX_Q} agree "
           f"({time.perf_counter() - start:.1f} s)")
     start = time.perf_counter()
     sampled = sampled_fields()
-    njs, (slowest, p) = 0, (0.0, None)
-    for p_, k in sampled:
-        n, build_s = check(p_, k, SAMPLE)
+    njs, (slowest, field) = 0, (0.0, None)
+    for p, k in sampled:
+        n, build_s = check(p, k, SAMPLE)
         njs += n
-        slowest, p = max((slowest, p), (build_s, p_))
-    print(f"{len(sampled)} fields F_p^2 with q > {SWEEP_MAX_Q}, p < 256: {njs} sampled j "
-          f"agree; slowest table F_{p}^2 {slowest * 1e3:.1f} ms "
+        slowest, field = max((slowest, field), (build_s, (p, k)))
+    print(f"{len(sampled)} fields F_p^k, k >= 2, with {FULL_MAX_Q} < q <= 2^16: {njs} sampled j "
+          f"agree; slowest table F_{field[0]}^{field[1]} {slowest * 1e3:.1f} ms "
           f"({time.perf_counter() - start:.1f} s)")
 
 

@@ -125,7 +125,7 @@ def _admissible_primes(D: int, count: int):
             is_prime(p)
             and D % p != 0
             and classpoly.kronecker(D, p) == 1
-            and classpoly.class_order_of_p(D, p, max_q=classpoly.SWEEP_MAX_Q)
+            and classpoly.class_order_of_p(D, p, max_q=classpoly.AUTO_CHECK_MAX_Q)
             is not None
         ):
             out.append(p)
@@ -181,7 +181,7 @@ def _feasible_triples(want: int, split_ell: bool):
                 d_min = -D
                 if D % p == 0 or p % ell == 0:
                     continue
-                if classpoly.class_order_of_p(D, p, max_q=classpoly.SWEEP_MAX_Q) is None:
+                if classpoly.class_order_of_p(D, p, max_q=classpoly.AUTO_CHECK_MAX_Q) is None:
                     continue
                 triples.append((D, ell, p))
                 break

@@ -8,15 +8,14 @@ against the reduced-form class number.  That degree law is the independent
 anchor that keeps the two endomorphism-ring providers honest.
 
 Only a j of degree m whose Frobenius trace satisfies 4p^m = t^2 + w^2|D|
-can have discriminant D, so only those are classified: up to SWEEP_MAX_Q
-the field's trace classes name all of them, beyond it a sampled j must pass
-a one-point trace filter and a count first.
+can have discriminant D, so only those are classified: the trace classes of
+the root field, one trace per Frobenius orbit, name all of them.  Roots are
+collected this way in every field with log tables (q <= 2^16).
 """
 
 from __future__ import annotations
 
 import os
-from itertools import chain
 from math import gcd, isqrt
 
 from . import _cache, ecurve, endoring, ffield
@@ -28,19 +27,16 @@ from .errors import (
     ProviderDisagreement,
     SearchCeilingExceeded,
     SizeExceeded,
-    SupersingularInput,
     UnsupportedLevel,
     _require,
 )
 from .ffield import FieldElement, make_field
 from .polyring import UniPoly
-from ._numutil import crc_rng, factorize, is_prime
+from ._numutil import factorize, is_prime
 
-#: roots are collected by a sweep of the root field's trace classes up to
-#: this field size, and by trace-filtered sampling beyond it, up to
-#: SAMPLING_MAX_Q; endo_discriminant's "auto" check runs exactly up to it
-SWEEP_MAX_Q = 4096
-SAMPLING_MAX_Q = 1 << 16
+#: the largest root field of an H_D that endo_discriminant's "auto" check
+#: builds, and of the (D, p) that acceptance criteria 3 and 4 choose
+AUTO_CHECK_MAX_Q = 4096
 
 SEARCH_CEILING_DEFAULT = 10**6
 
@@ -176,7 +172,7 @@ def class_order_of_p(D: int, p: int, max_q: int | None = None) -> int | None:
     polynomial's roots would then live beyond the configured reach).
     """
     validate_discriminant(D)
-    cap = max_q if max_q is not None else SAMPLING_MAX_Q
+    cap = max_q if max_q is not None else ffield._TABLE_MAX
     h = class_number(D)
     q = 1
     for m in range(1, h + 1):
@@ -219,13 +215,10 @@ def hilbert_mod_p(D: int, p: int) -> ClassPolynomialModP:
     m = class_order_of_p(D, p)
     if m is None:
         raise SizeExceeded(
-            f"roots of H_{D} mod {p} live beyond the sampling bound {SAMPLING_MAX_Q}"
+            f"roots of H_{D} mod {p} live beyond the sampling bound {ffield._TABLE_MAX}"
         )
     ctx = make_field(p, m)
-    if ctx.q <= SWEEP_MAX_Q:
-        roots = _collect_roots_sweep(D, p, m, h)
-    else:
-        roots = _collect_roots_sampled(D, p, m, h)
+    roots = _collect_roots_sweep(D, p, m, h)
     if len(roots) != h:
         raise ProviderDisagreement(
             f"H_{D} mod {p}: collected {len(roots)} roots, class number is {h}"
@@ -248,92 +241,19 @@ def _collect_roots_sweep(D: int, p: int, m: int, h: int) -> list[FieldElement]:
         ctx.from_encoding(enc) for enc, val in sorted(candidates.items())
         if isinstance(val, endoring.CMOrder) and val.D == D
     ]
+    # fewer than h roots is a degree-law failure, which hilbert_mod_p
+    # reports, unless a candidate went unclassified
     if len(roots) < h and any(val is endoring.UNSUPPORTED for val in candidates.values()):
-        raise _unclassifiable(D, p)
+        raise UnsupportedLevel(
+            f"H_{D} mod {p}: unclassifiable candidate root "
+            f"(conductor beyond the vendored levels)"
+        )
     return roots
 
 
-def _unclassifiable(D: int, p: int) -> UnsupportedLevel:
-    """The error of a collector that skipped a candidate it could not
-    classify and found fewer than h roots."""
-    return UnsupportedLevel(
-        f"H_{D} mod {p}: unclassifiable candidate root "
-        f"(conductor beyond the vendored levels)"
-    )
-
-
-def _collect_roots_sampled(D: int, p: int, m: int, h: int) -> list[FieldElement]:
-    ctx = make_field(p, m)
-    q = ctx.q
-    traces = _representation_traces(D, q, p)
-    rng = crc_rng("hilbert-sample", D, p, m)
-    # the filter draws its points from a stream of its own, so the
-    # candidate stream is the same with or without it
-    filter_rng = crc_rng("hilbert-filter", D, p, m)
-    found: dict[int, FieldElement] = {}
-
-    def absorb(j: FieldElement):
-        # close up under Frobenius and horizontal isogenies of the same order,
-        # to exhaustion: a vertex mislabelled with D then shows up as a root
-        # too many, which hilbert_mod_p rejects, as the sweep's count does
-        stack = [j]
-        while stack:
-            v = stack.pop()
-            if v.encoding() in found:
-                continue
-            found[v.encoding()] = v
-            w = ffield.frobenius(v)
-            if w.encoding() not in found:
-                stack.append(w)
-            for level in endoring.supported_levels():
-                if level == p:
-                    continue
-                for nb in endoring._rational_neighbors(v, level):
-                    if nb.encoding() in found:
-                        continue
-                    try:
-                        o = endoring.provider_a_disc(ffield.minimal_field(nb))
-                    except (UnsupportedLevel, SupersingularInput):
-                        continue
-                    if o.D == D:
-                        stack.append(nb)
-
-    # draws from the stream, each encoding classified once; after q draws,
-    # every encoding not yet drawn in increasing order, so the whole field
-    # is covered and a short root set is never a matter of luck
-    drawn = bytearray(q)
-    unclassified = False
-    for n in chain((rng.randrange(q) for _ in range(q)), range(q)):
-        if len(found) >= h:
-            break
-        if drawn[n] or n in found:
-            continue
-        drawn[n] = 1
-        j = ctx.from_encoding(n)
-        jm = ffield.minimal_field(j)
-        if jm.ctx.k != m:
-            continue
-        # one point rules out most j whose trace misses traces, without a
-        # count; it never rejects a j that the trace test below accepts
-        if not ecurve.trace_filter(ecurve.curve_from_j(jm), traces, filter_rng):
-            continue
-        fd = ecurve.trace_of_j(jm)
-        if abs(fd.t) not in traces:
-            continue
-        try:
-            order = endoring.provider_a_disc(jm)
-        except UnsupportedLevel:
-            unclassified = True
-            continue
-        except SupersingularInput:
-            continue
-        if order.D == D:
-            absorb(j)
-    # an exhausted field with fewer than h roots is a degree-law failure,
-    # which hilbert_mod_p reports, unless a candidate went unclassified
-    if len(found) < h and unclassified:
-        raise _unclassifiable(D, p)
-    return sorted(found.values(), key=lambda r: r.encoding())
+# perfbench/child.py wraps this name to count sampled roots; nothing here
+# calls it.  It goes with ROADMAP item 10.
+_collect_roots_sampled = _collect_roots_sweep
 
 
 def hilbert_eval(D: int, x: FieldElement) -> FieldElement:

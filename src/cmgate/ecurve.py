@@ -15,13 +15,11 @@ interval beyond it, with the usual twist disambiguation: each deterministically
 sampled point, on the curve or on its quadratic twist, gives its annihilator
 set, the n in the interval with nP = O, from one sweep over the whole
 interval, and the sets are intersected until a single group order survives.
-trace_filter is the cheap one-point test that rules traces out without a
-count.
 
-The group law behind BSGS and the filter runs on plain ints: residue pairs
-in every prime field, pairs of discrete logs with Zech additions in
-F_{p^k}, k >= 2, with log tables (q <= 2^16), and pairs of power-basis
-coefficient tuples in larger extension fields.
+The group law behind BSGS runs on plain ints: residue pairs in every prime
+field, pairs of discrete logs with Zech additions in F_{p^k}, k >= 2, with
+log tables (q <= 2^16), and pairs of power-basis coefficient tuples in
+larger extension fields.
 """
 
 from __future__ import annotations
@@ -626,25 +624,3 @@ def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...],
 
 def is_supersingular_j(j: FieldElement) -> bool:
     return trace_of_j(j).t % j.ctx.p == 0
-
-
-def trace_filter(E: EllipticCurve, traces, rng) -> bool:
-    """False only if #E(F_q) = q + 1 - t holds for no t with |t| in traces.
-
-    For a point P drawn with rng, #E = q + 1 -+ t forces [q + 1]P = +-[t]P:
-    both are infinity or they share their x-coordinate.  One point and a few
-    scalar multiples rule most curves out before any count (the filter of
-    Sutherland, "Computing Hilbert class polynomials with the Chinese
-    Remainder Theorem", Math. Comp. 80 (2011)).
-    """
-    law = _group_law(E)
-    P = law.point(*_random_point(E, rng))
-    R = _ec_mul(E.ctx.q + 1, P, law)
-    for t in traces:
-        S = _ec_mul(t, P, law)
-        if R is None or S is None:
-            if R is S:
-                return True
-        elif R[0] == S[0]:
-            return True
-    return False

@@ -337,9 +337,9 @@ def endo_discriminant(j: FieldElement, hilbert_check: str | bool = "auto") -> CM
 
     Provider A (volcano walk) computes the answer; provider B confirms that
     j is a root of the class polynomial of the claimed discriminant.  With
-    hilbert_check="auto" the confirmation runs when the class polynomial
-    would come from a sweep of its root field (classpoly.SWEEP_MAX_Q); True
-    forces it, False skips it.  Disagreement raises ProviderDisagreement.
+    hilbert_check="auto" the confirmation runs when the class polynomial's
+    root field has at most classpoly.AUTO_CHECK_MAX_Q elements; True forces
+    it, False skips it.  Disagreement raises ProviderDisagreement.
 
     H_D has coefficients in F_p, so its roots are whole Frobenius orbits: the
     confirmation runs once per (orbit, D), on the j the caller passed, and
@@ -353,7 +353,7 @@ def endo_discriminant(j: FieldElement, hilbert_check: str | bool = "auto") -> CM
 
     p = j.ctx.p
     if hilbert_check == "auto":
-        m = classpoly.class_order_of_p(order.D, p, max_q=classpoly.SWEEP_MAX_Q)
+        m = classpoly.class_order_of_p(order.D, p, max_q=classpoly.AUTO_CHECK_MAX_Q)
         if m is None:
             return order
     key = (p, j.ctx.k, ffield.orbit_key(j), order.D)

@@ -17,7 +17,7 @@ from cmgate.errors import (
     SupersingularInput,
     UnsupportedLevel,
 )
-from cmgate._numutil import crc_rng, is_prime
+from cmgate._numutil import is_prime
 
 F5 = ff.make_field(5, 1)
 F7 = ff.make_field(7, 1)
@@ -133,22 +133,25 @@ class TestHilbertModP:
             cp.hilbert_mod_p(-20, 5)
 
     def test_against_reference_table(self):
+        # per D, the first two primes whose root field has at most 4,096
+        # elements and the first whose root field lies in (4,096, 2^16]
         table = cp.reference_table()
         assert len(table) >= 20
         for D, coeffs in sorted(table.items(), reverse=True)[:10]:
-            checked = 0
+            small, large = [], []
             p = 5
-            while checked < 2 and p < 600:
+            while (len(small) < 2 or not large) and p < ff._TABLE_MAX:
                 if is_prime(p) and D % p and cp.kronecker(D, p) == 1:
-                    m = cp.class_order_of_p(D, p, max_q=cp.SWEEP_MAX_Q)
+                    m = cp.class_order_of_p(D, p)
                     if m is not None:
-                        H = cp.hilbert_mod_p(D, p)
-                        assert [c.coeffs[0] for c in H.poly.coeffs] == [
-                            c % p for c in coeffs
-                        ], (D, p)
-                        checked += 1
+                        (small if p**m <= 4096 else large).append(p)
                 p += 2
-            assert checked == 2, D
+            assert len(small) >= 2 and large, D
+            for p in small[:2] + large[:1]:
+                H = cp.hilbert_mod_p(D, p)
+                assert [c.coeffs[0] for c in H.poly.coeffs] == [
+                    c % p for c in coeffs
+                ], (D, p)
 
     def test_galois_stable_roots(self):
         H = cp.hilbert_mod_p(-23, 13)
@@ -157,36 +160,35 @@ class TestHilbertModP:
             assert ff.frobenius(r).encoding() in encs
 
     def test_sampled_collection_path(self):
-        # 19^3 = 6859 sits above the sweep bound, so this exercises the
-        # trace-targeted sampling collector; the result must still match
+        # 19^3 = 6859 lies above the auto-check bound and within the tables:
+        # the sweep collects the roots there too, and the result must match
         # the classical polynomial reduced mod p
         assert cp.class_order_of_p(-31, 19) == 3
-        assert cp.SWEEP_MAX_Q < 19**3 <= cp.SAMPLING_MAX_Q
+        assert cp.AUTO_CHECK_MAX_Q < 19**3 <= ff._TABLE_MAX
         H = cp.hilbert_mod_p(-31, 19)
         ref = cp.reference_table()[-31]
         assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 19 for c in ref]
 
     def test_sampled_path_counts_by_bsgs(self, monkeypatch):
-        # q = 19^3 = 6859 lies above SWEEP_MAX_Q and above NAIVE_THRESHOLD,
-        # so every count the sampled collector makes must run BSGS, never
-        # the O(q) character scan
+        # the trace table gives the trace of every j of degree 3 in
+        # F_{19^3}: no O(q) character scan runs over the root field, only
+        # over F_19 for the orbits of the subfield
         clear_caches()
         calls = []
         naive = ec._naive_count
         monkeypatch.setattr(ec, "_naive_count", lambda E: calls.append(E.ctx.q) or naive(E))
         H = cp.hilbert_mod_p(-31, 19)
-        assert calls == []
+        assert all(q < 19**3 for q in calls)
         ref = cp.reference_table()[-31]
         assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 19 for c in ref]
 
 
 class TestCompleteSampler:
-    # each pair's root field lies above SWEEP_MAX_Q; sampling with
-    # replacement gave up on all three after 60,000 draws
+    # the largest root fields the sweep serves: two prime fields and F_{251^2}
     @pytest.mark.parametrize("D,p", [(-7, 25097), (-7, 40009), (-24, 251)])
     def test_finds_the_roots_draws_alone_missed(self, D, p):
         H = cp.hilbert_mod_p(D, p)
-        assert H.root_ctx.q > cp.SWEEP_MAX_Q
+        assert H.root_ctx.q > 25000
         ref = cp.reference_table()[D]
         assert [c.coeffs[0] for c in H.poly.coeffs] == [c % p for c in ref]
 
@@ -203,9 +205,9 @@ class TestCompleteSampler:
     @pytest.mark.parametrize("answer,error", [
         ("unsupported", UnsupportedLevel), ("other D", ProviderDisagreement)])
     def test_exhausted_field_with_patched_provider(self, answer, error, monkeypatch):
-        # a provider A that classifies no candidate as D makes the sampler
-        # visit every j of F_{19^3}: an unclassifiable skip is named as such,
-        # and without one the root count fails the degree law
+        # a provider A that classifies no candidate as D leaves the sweep
+        # of F_{19^3} short of roots: an unclassifiable skip is named as
+        # such, and without one the root count fails the degree law
         visited = []
 
         def provider(j):
@@ -221,12 +223,14 @@ class TestCompleteSampler:
                 cp.hilbert_mod_p(-31, 19)
         finally:
             clear_caches()
-        # every j of degree 3 with a trace of D = -31 was classified once
+        # every Frobenius orbit of degree 3 with a trace of D = -31 was
+        # classified once, on its least conjugate
         ctx = ff.make_field(19, 3)
         traces = cp._representation_traces(-31, ctx.q, 19)
         wanted = sorted(
             n for n in range(ctx.q)
             if ff.element_degree(ctx.from_encoding(n)) == 3
+            and n == min(ff.frobenius_orbit(ctx.from_encoding(n)))
             and abs(ec.trace_of_j(ctx.from_encoding(n)).t) in traces)
         assert sorted(visited) == wanted
 
@@ -234,22 +238,23 @@ class TestCompleteSampler:
 class TestDegreeLawFaults:
     @staticmethod
     def mislabelled_neighbor(H):
-        """(k, encoding) of the first rational neighbour of a root of H, by
-        level, whose true discriminant is not H.D."""
+        """(k, encoding) of the least conjugate of the first rational
+        neighbour of a root of H, by level, whose true discriminant is not
+        H.D: the sweep asks provider A once per orbit, on that conjugate."""
         for level in er.supported_levels():
             for r in H.roots:
                 for nb in er._rational_neighbors(r, level):
                     nb = ff.minimal_field(nb)
                     try:
                         if er.provider_a_disc(nb).D != H.D:
-                            return nb.ctx.k, nb.encoding()
+                            return nb.ctx.k, min(ff.frobenius_orbit(nb))
                     except (SupersingularInput, UnsupportedLevel):
                         continue
         raise LookupError("no neighbour of another discriminant")
 
-    # (-40, 103) is collected by sampling, (-20, 43) by a sweep; on both a
-    # vertex mislabelled with D must give one root too many, never a
-    # polynomial built from the first h roots found
+    # on F_{103^2} the neighbour is a j of D = -160, on F_{43^2} one of
+    # D = -180; an orbit mislabelled with D must give roots too many, never
+    # a polynomial built from the first h roots found
     @pytest.mark.parametrize("D,p", [(-40, 103), (-20, 43)])
     def test_mislabelled_neighbor_is_a_root_too_many(self, D, p, monkeypatch):
         clear_caches()
@@ -328,7 +333,7 @@ class TestTargetedSweep:
         # its roots must be exactly the j that classifying every j labels D
         H = cp.hilbert_mod_p(D, p)
         ctx = H.root_ctx
-        assert ctx.q <= cp.SWEEP_MAX_Q
+        assert ctx.q <= 4096  # the whole-field map below stays cheap
         full = er.ordinary_disc_map(ctx)
         assert len(full) == ctx.q
         labelled = sorted(
@@ -389,31 +394,6 @@ class TestWorkBudget:
         assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 43 for c in ref]
         assert 0 < calls["volcano"] <= 50
         assert 0 < calls["roots"] <= 50
-
-
-class TestTraceFilter:
-    @pytest.mark.parametrize("D,p", [(-40, 103), (-31, 19)])
-    def test_passes_at_every_root(self, D, p):
-        # sound: a curve whose trace is in the set passes for every point
-        H = cp.hilbert_mod_p(D, p)
-        q = H.root_ctx.q
-        traces = cp._representation_traces(D, q, p)
-        rng = crc_rng("trace-filter-roots", D, p)
-        for r in H.roots:
-            E = ec.curve_from_j(r)
-            assert all(ec.trace_filter(E, traces, rng) for _ in range(200))
-
-    def test_sampled_collector_skips_counts(self, monkeypatch):
-        # q = 103^2 is sampled; without the filter every candidate is counted
-        clear_caches()
-        calls = []
-        count = ec.count_points
-        monkeypatch.setattr(ec, "count_points", lambda E: calls.append(E.ctx.q) or count(E))
-        assert cp.SWEEP_MAX_Q < 103**2
-        H = cp.hilbert_mod_p(-40, 103)
-        assert 0 < len(calls) <= 100
-        ref = cp.reference_table()[-40]
-        assert [c.coeffs[0] for c in H.poly.coeffs] == [c % 103 for c in ref]
 
 
 class TestHilbertEval:

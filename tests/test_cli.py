@@ -379,6 +379,30 @@ class TestStartup:
         assert proc.stdout == "[]\n"
 
 
+class TestBenchmarkChild:
+    def test_traced_benchmark_child_runs_hilbert(self):
+        # perfbench/child.py --trace wraps classpoly names before it runs a
+        # command; a name it wraps that cmgate lacks fails every traced run
+        import os
+        import subprocess
+        import sys
+
+        from cmgate import classpoly
+
+        root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "child.py"), "cli", "--trace",
+             "--", "--format", "json", "hilbert", "--D", "-40", "--p", "103"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        expected = [c % 103 for c in classpoly.reference_table()[-40]]
+        assert json.loads(proc.stdout)["result"]["coeffs"] == expected
+        mark = "PERFBENCH-TRACE "
+        traces = [line for line in proc.stderr.splitlines() if line.startswith(mark)]
+        assert len(traces) == 1, proc.stderr
+        assert json.loads(traces[0][len(mark):])["classpoly.hilbert"] == 1
+
+
 class TestDeterminism:
     def test_byte_identical_json(self):
         argv = ("ao-gate", "--p", "5", "--curve", "X - Y^5", "--kmax", "2")

@@ -139,24 +139,6 @@ class TestBsgsOracle:
         assert used == [p**k for p, k in fields if p**k <= ec.NAIVE_THRESHOLD] == [1681, 1789]
 
 
-class TestTraceFilter:
-    @pytest.mark.parametrize("p,k", [(13, 2), (103, 1), (7, 3)])
-    def test_against_full_counts(self, p, k):
-        ctx = ff.make_field(p, k)
-        rng = crc_rng("trace-filter", p, k)
-        rejected = 0
-        for _ in range(40):
-            E = ec.curve_from_j(ctx.from_encoding(rng.randrange(ctx.q)))
-            t = ctx.q + 1 - ec._naive_count(E)
-            # never rejects the true trace, nor its negative
-            assert ec.trace_filter(E, {abs(t)}, rng)
-            assert ec.trace_filter(E.quadratic_twist(), {abs(t)}, rng)
-            others = {s for s in range(1, 2 * isqrt(ctx.q) + 1) if s != abs(t)}
-            wrong = set(rng.sample(sorted(others), 2))
-            rejected += not ec.trace_filter(E, wrong, rng)
-        assert rejected >= 30  # and rules most wrong traces out
-
-
 class TestFrobeniusData:
     def test_j1728_data(self):
         E = ec.EllipticCurve(F5.one(), F5.zero())
@@ -339,24 +321,26 @@ class TestGroupLaws:
 
     @pytest.mark.parametrize("p,k", LAW_FIELDS)
     def test_filter_and_counts_match_object_law(self, p, k, monkeypatch):
+        # BSGS counts the same under both laws, and under each law the count
+        # q + 1 - t annihilates a point of the curve, q + 1 + t one of its twist
         ctx = ff.make_field(p, k)
         rng = crc_rng("group-law-counts", p, k)
         curves = [ec.curve_from_j(ctx.from_encoding(rng.randrange(ctx.q))) for _ in range(4)]
-        s = isqrt(4 * ctx.q)
-        trace_sets = [set(rng.sample(range(1, s + 1), 3)) for _ in curves]
 
         def run():
-            return [
-                (ec._bsgs_count(E), ec.trace_filter(E, traces, crc_rng("filter", n)))
-                for n, (E, traces) in enumerate(zip(curves, trace_sets))
-            ]
+            counts = []
+            for n, E in enumerate(curves):
+                count = ec._bsgs_count(E)
+                for curve, order in ((E, count), (E.quadratic_twist(), 2 * (ctx.q + 1) - count)):
+                    law = ec._group_law(curve)
+                    P = law.point(*ec._random_point(curve, crc_rng("order", n)))
+                    assert ec._ec_mul(order, P, law) is None
+                counts.append(count)
+            return counts
 
         fast = run()
         monkeypatch.setattr(ec, "_group_law", ElementLaw)
         assert run() == fast
-        # and the filter never rejects a curve's own trace
-        for E, (count, _) in zip(curves, fast):
-            assert ec.trace_filter(E, {abs(ctx.q + 1 - count)}, rng)
 
 
 # k >= 2 above the table cut (2^16): the tuple law, norm characters, twists
