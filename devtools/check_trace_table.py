@@ -11,7 +11,13 @@ least conjugate (conjugate j have conjugate models, hence one trace).  Every
 orbit of trace_classes, of size d, must be the least element of its orbit
 followed by its images under ffield.frobenius, and the orbits must partition
 the field.  Prints one line per degree k, with its slowest table build, one
-line for the sampled fields and the total; exits 1 on the first mismatch.
+memory line per sampled field, one line for the sampled fields and the
+total; exits 1 on the first mismatch.
+
+A memory line gives, from tracemalloc, what the field's context holds (its
+log and Zech tables), what one trace_classes sweep of it keeps (the classes
+and the kept trace table) and the heap peak of that sweep above the context.
+Patch ffield._TABLE_MAX in a copy of the tree to size fields above the cut.
 
 Run from the repository root:  python3 devtools/check_trace_table.py
 """
@@ -19,6 +25,7 @@ Run from the repository root:  python3 devtools/check_trace_table.py
 import os
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -73,8 +80,26 @@ def check(p: int, k: int, sample: int | None = None) -> tuple[int, float]:
                      f"table {trace(n)}, count {counted[key]}")
     if sample is None:
         check_orbits(ctx)
-    clear_caches()  # else the trace store keeps every orbit of every field
+    clear_caches()  # else every swept field keeps its classes and trace table
     return len([n for n in encodings if n not in special]), build_s
+
+
+def memory(p: int, k: int) -> str:
+    """The memory line of F_{p^k}, a field whose context no check built yet."""
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    ctx = ffield.make_field(p, k)
+    tables = tracemalloc.get_traced_memory()[0] - start
+    tracemalloc.reset_peak()
+    classes = ecurve.trace_classes(ctx)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    del classes
+    clear_caches()
+    mib = 1 << 20
+    return (f"F_{p}^{k}: tables {tables / mib:.2f} MiB, classes kept "
+            f"{(held - start - tables) / mib:.2f} MiB, classes peak "
+            f"{(peak - start - tables) / mib:.2f} MiB")
 
 
 def check_orbits(ctx) -> None:
@@ -119,6 +144,7 @@ def main() -> None:
     sampled = sampled_fields()
     njs, (slowest, field) = 0, (0.0, None)
     for p, k in sampled:
+        print(memory(p, k))
         n, build_s = check(p, k, SAMPLE)
         njs += n
         slowest, field = max((slowest, field), (build_s, (p, k)))

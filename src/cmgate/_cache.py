@@ -7,6 +7,9 @@ no result that the data could change, and are shared.  Per-j results (the
 trace, provider A's discriminant, provider B's confirmed roots) are keyed
 by (p, k, least encoding in j's Frobenius orbit), for j in its minimal
 field F_{p^k}; the neighbours of a volcano vertex stay keyed by the vertex.
+The trace store holds only the traces asked of ecurve.trace_of_j; each
+field that ecurve.trace_classes swept keeps its trace table instead, in the
+trace_table store keyed (p, k), and trace_of_j reads the rest from there.
 Field contexts hold no lazy state: a field's distinguished generator and its
 embedding matrices are stores here too, so clear_caches() drops them.
 One lock policy: look up without the lock, compute outside it, and `publish`

@@ -7,7 +7,9 @@ table: every fixed model is a twist of one curve y^2 = x^3 + a x + a, whose
 character sums over all a form one cyclic correlation over the discrete logs,
 computed as a single exact integer product by Kronecker substitution (see
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symbolic Comput. 44 (2009)).
+substitution", J. Symbolic Comput. 44 (2009)).  Once trace_classes has swept
+a field, the field keeps that table, two bytes per discrete log, and
+trace_of_j reads the trace of each orbit that spans the field from it.
 
 Counting is a quadratic-character scan up to NAIVE_THRESHOLD, the one cut
 point between the two counts, and baby-step giant-step over the Hasse
@@ -25,6 +27,7 @@ larger extension fields.
 from __future__ import annotations
 
 import struct
+import sys
 from math import isqrt
 from typing import Callable
 
@@ -462,9 +465,12 @@ def trace_of_j(j: FieldElement, key: int | None = None) -> FrobeniusData:
     """Frobenius data of the fixed model over the minimal field of j.
 
     Conjugate j have conjugate fixed models, so the trace is cached per
-    Frobenius orbit, under its least encoding, and counted on the model of
-    that least conjugate.  A caller that holds j in its minimal field and
-    knows that encoding passes it as key.
+    Frobenius orbit, under its least encoding.  It is read from the trace
+    table that trace_classes kept for the minimal field, if that field was
+    swept and j is neither 0 nor 1728, and otherwise counted on the model of
+    the least conjugate.  Only the orbits asked for enter the trace store.
+    A caller that holds j in its minimal field and knows that encoding
+    passes it as key.
     """
     if key is None:
         j = ffield.minimal_field(j)
@@ -473,19 +479,24 @@ def trace_of_j(j: FieldElement, key: int | None = None) -> FrobeniusData:
     traces = _cache.store("trace")
     t = traces.get((ctx.p, ctx.k, key))
     if t is None:
-        t = frobenius_data(curve_from_j(ctx.from_encoding(key))).t
+        table = _cache.store("trace_table").get((ctx.p, ctx.k))
+        if table is not None and key not in (0, 1728 % ctx.p):
+            t = table(key)
+        else:
+            t = frobenius_data(curve_from_j(ctx.from_encoding(key))).t
         t = _cache.publish(traces, (ctx.p, ctx.k, key), t)
     return FrobeniusData(ctx.q, t)
 
 
-def _correlate(f, g) -> tuple[int, ...]:
+def _correlate(f, g) -> memoryview:
     """h(l) = sum_i f(i) g(i - l), indices mod n = len(f) = len(g), for
     lists of ints in [0, 256).
 
     Kronecker substitution makes h one exact integer product: f packed in
     slots of 1 to 4 bytes, wide enough for the largest sum max(f) sum(g),
     times g reversed, with the upper n slots of the product folded onto the
-    lower n.
+    lower n.  h is a view of the product's bytes, so its slots become int
+    objects only as they are read.
     """
     n = len(f)
     bound = max(f) * sum(g)
@@ -504,7 +515,10 @@ def _correlate(f, g) -> tuple[int, ...]:
         for b in range(3):
             wide[b::4] = data[b::3]
         data, size = wide, 4
-    h = struct.unpack(f"<{n}{'BH I'[size - 1]}", data)
+    fmt = "BH I"[size - 1]
+    if sys.byteorder == "big":  # the slots are little-endian
+        data = struct.pack(f"{n}{fmt}", *struct.unpack(f"<{n}{fmt}", data))
+    h = memoryview(data).cast(fmt)  # read in place, with no int object per slot
     _require(sum(h) == sum(f) * sum(g), "the correlation keeps the total")
     return h
 
@@ -526,6 +540,15 @@ def _fibres(ctx: FieldCtx) -> tuple[list[int], list[int]]:
         count[s] += 1
         signed[s] += -1 if i & 1 else 1
     return signed, count
+
+
+def _log_1728_minus(ctx: FieldCtx, j: int) -> int:
+    """The discrete log of 1728 - j over ctx, a field with log tables, from
+    the encoding j != 1728: 1728 - j = -(j - 1728), and j - 1728 changes
+    only the constant digit of j."""
+    p = ctx.p
+    d = j % p
+    return (ctx.log[j - d + (d - 1728) % p] + ctx.half) % ctx.qm1
 
 
 def trace_table(ctx: FieldCtx) -> Callable[[int], int]:
@@ -557,21 +580,25 @@ def trace_table(ctx: FieldCtx) -> Callable[[int], int]:
     tau = [2 - 2 * (log[y] & 1) if y else 1
            for y in [n + 1 if n % p != p - 1 else n + 1 - p for n in exp[:qm1]]]
     units = signed[:qm1]
-    correlated = _correlate([s + 3 for s in units], tau)
     base = signed[qm1] - 3 * sum(tau) - sum(units)
+    correlated = _correlate([s + 3 for s in units], tau)
+    del signed, tau, units
     chi_minus_1 = -1 if half & 1 else 1
     traces = [-chi_minus_1 - (-c - base if l & 1 else c + base)
               for l, c in enumerate(correlated)]
+    del correlated
     hasse = 4 * q
     _require(all(t * t <= hasse for t in traces), "a tabled trace breaks the Hasse bound")
     _require(all((q - t - count[(l + half) % qm1]) % 2 == 0 for l, t in enumerate(traces)),
              "a tabled count breaks the 2-torsion parity")
-    k1728 = ctx.from_int(1728)
+    del count
+    # two bytes a trace: the Hasse bound keeps |t| far below 2^15
+    traces = memoryview(struct.pack(f"{qm1}h", *traces)).cast("h")
     log_27_4 = log[27 % p] - log[4]
     log6 = log[2] + log[3]  # the parity of log(2/3)
 
     def trace(j: int) -> int:
-        lw = log[(k1728 - ctx.from_encoding(j)).encoding()]
+        lw = _log_1728_minus(ctx, j)
         t = traces[(log_27_4 + log[j] - lw) % qm1]
         return -t if (log6 + lw) & 1 else t
 
@@ -587,10 +614,12 @@ def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...],
     encoding first, then its conjugates in Frobenius order; the walk marks
     every conjugate seen, so orbits ascend by least encoding.  With
     log tables, the orbits that span ctx read their traces from one
-    trace_table and publish them to the trace store under that least
-    encoding; j = 0, 1728, orbits of proper subfields and fields without
-    tables take trace_of_j.  Cached per field in a store of its own that no
-    configuration reaches: traces do not depend on the modular-polynomial data.
+    trace_table, which must agree with every trace the store already holds
+    for them; j = 0, 1728, orbits of proper subfields and fields without
+    tables take trace_of_j.  The table is then kept in the trace_table
+    store, keyed (p, k), for trace_of_j; no orbit enters the trace store.
+    Cached per field in a store of its own that no configuration reaches:
+    traces do not depend on the modular-polynomial data.
     """
     key = (ctx.p, ctx.k)
     found = _cache.store("trace_classes")
@@ -598,7 +627,7 @@ def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...],
     if classes is not None:
         return classes
     table = trace_table(ctx) if ctx.log is not None else None
-    special = {0, ctx.from_int(1728).encoding()}
+    special = {0, 1728 % ctx.p}
     traces = _cache.store("trace")
     grouped: dict[tuple[int, int], list] = {}
     seen = bytearray(ctx.q)
@@ -615,10 +644,12 @@ def trace_classes(ctx: FieldCtx) -> dict[tuple[int, int], tuple[tuple[int, ...],
             t = trace_of_j(j, n).t
         else:
             t = table(n)
-            _require(_cache.publish(traces, (ctx.p, ctx.k, n), t) == t,
+            _require(traces.get((ctx.p, ctx.k, n), t) == t,
                      "the trace table agrees with the stored trace")
         grouped.setdefault((len(orbit), abs(t)), []).append(orbit)
     classes = {cls: tuple(orbits) for cls, orbits in grouped.items()}
+    if table is not None:
+        _cache.publish(_cache.store("trace_table"), key, table)
     return _cache.publish(found, key, classes)
 
 

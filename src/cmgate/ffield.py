@@ -331,7 +331,8 @@ class _TableCtx(FieldCtx):
     exp[i] = g^i for 0 <= i < 2(q - 1), so a sum of two logs indexes it
     without reduction; log[n] is the discrete log of encoding n (log[0] is
     unused); for k >= 2, zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0.
-    half = (q - 1) / 2 is the log of -1.
+    half = (q - 1) / 2 is the log of -1.  The tables share one int object
+    per value, so each costs a list slot per entry and no more.
     """
 
     __slots__ = ("exp", "log", "zech", "qm1", "half", "_elem", "_zero", "_one")
@@ -351,15 +352,17 @@ class _TableCtx(FieldCtx):
         else:
             raise InternalInvariant(f"no primitive element in {self!r}")
         # the powers of g, walked through the table of n -> n g
+        ints = list(range(q))  # the one int object of each value
         times_g = self._times_table(g)
         exp = [0] * (2 * qm1)
         log = [0] * q
         n = 1
-        for i in range(qm1):
+        for i in ints[:qm1]:
             exp[i] = n
             log[n] = i
-            n = times_g[n]
+            n = ints[times_g[n]]
         _require(n == 1, "g^(q - 1) = 1")
+        del ints, times_g
         exp[qm1:] = exp[:qm1]
         self.exp, self.log = exp, log
         if k == 1:
@@ -731,8 +734,8 @@ def frobenius_orbit(x: FieldElement) -> tuple[int, ...]:
         if not n:
             return (0,)
         exp, p, qm1 = ctx.exp, ctx.p, ctx.qm1
-        orbit = [n]
         u = log[n]
+        orbit = [exp[u]]  # n, as the tables' own int object
         v = u * p % qm1
         while v != u:
             orbit.append(exp[v])
